@@ -87,7 +87,6 @@ pub const RELAXED_ALLOWLIST: &[&str] = &[
     "crates/ebr/src/ordering.rs",
     // Monotonic statistics counters only; never used for synchronization.
     "crates/ebr/src/epoch.rs",
-    "crates/ebr/src/sharded.rs",
     "crates/qsbr/src/domain.rs",
     "crates/qsbr/src/defer_list.rs",
     "crates/rcuarray/src/array.rs",
@@ -99,9 +98,8 @@ pub const RELAXED_ALLOWLIST: &[&str] = &[
     // contract (element visibility is ordered by snapshot publication).
     "crates/rcuarray/src/element.rs",
     // Pre-facade crates, audited wholesale: the abstract model checker,
-    // the educational single-pointer RCU, and the baseline arrays.
+    // the baseline arrays, collections and bench harness.
     "crates/model/",
-    "crates/rcu/",
     "crates/baselines/",
     "crates/collections/",
     "crates/bench/",
@@ -112,8 +110,6 @@ pub const RELAXED_ALLOWLIST: &[&str] = &[
     // Per-link transmission counters and the delivery-log enable gate;
     // cluster totals are mirrored to obs in the same functions.
     "crates/runtime/src/transport/",
-    "crates/runtime/src/config.rs",
-    "crates/runtime/src/telemetry.rs",
     // Round-robin placement hint: the counter only steers which locale
     // homes the next block; any interleaving yields a valid placement.
     "crates/runtime/src/dist.rs",
@@ -129,11 +125,8 @@ pub const RELAXED_ALLOWLIST: &[&str] = &[
     // debug_assert sanity load directly before the Release store that
     // actually publishes the checkpoint.
     "crates/qsbr/src/record.rs",
-    // Test modules: stop flags joined by scope exit, plus the
-    // should_panic test naming the OrderingMode::Relaxed variant.
-    "crates/ebr/src/rcu_cell.rs",
+    // should_panic tests naming the OrderingMode::Relaxed variant.
     "crates/ebr/tests/cell_model.rs",
-    // should_panic test naming the OrderingMode::Relaxed variant.
     "crates/rcuarray/src/config.rs",
     // The telemetry facade: sharded monotonic counters, gauges and
     // histogram buckets are Relaxed by design — readers only ever sum or
@@ -205,10 +198,9 @@ pub const SYNC_ALLOWLIST: &[&str] = &[
     // The facade itself wraps the std types.
     "crates/analysis/",
     // Not-yet-migrated crates (tracked in ROADMAP): the model checker,
-    // single-pointer RCU, baselines, collections, bench harness, and the
-    // unmigrated parts of the simulated runtime.
+    // baselines, collections, bench harness, and the unmigrated parts of
+    // the simulated runtime.
     "crates/model/",
-    "crates/rcu/",
     "crates/baselines/",
     "crates/collections/",
     "crates/bench/",
@@ -1180,6 +1172,29 @@ mod tests {
             "let my_next_round_robin_ish = 1;\ncall(XRoundRobinCounterY);\n",
         );
         assert!(!v.iter().any(|v| v.rule == Rule::RawPlacement));
+    }
+
+    #[test]
+    fn every_allowlist_entry_names_an_existing_path() {
+        // A deleted file must take its exemption with it.
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let lists = [
+            RELAXED_ALLOWLIST,
+            INSTRUMENTED_CRATES,
+            COUNTER_ALLOWLIST,
+            BOUNDED_QUEUE_CRATES,
+            RAW_COMM_ALLOWLIST,
+            PLACEMENT_CRATES,
+            PLACEMENT_ALLOWLIST,
+            SCHEME_FLAG_ALLOWLIST,
+            SYNC_ALLOWLIST,
+        ];
+        let stale: Vec<&str> = lists
+            .iter()
+            .flat_map(|l| l.iter().copied())
+            .filter(|entry| !root.join(entry).exists())
+            .collect();
+        assert!(stale.is_empty(), "stale lint exemptions: {stale:?}");
     }
 
     #[test]

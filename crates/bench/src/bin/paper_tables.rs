@@ -13,6 +13,12 @@
 //!   fig4    QSBR checkpoint-frequency sweep (single locale)
 //!   all     everything above (default)
 //!
+//!   readmix             read/update mix sweep across the reclaimer zoo
+//!   ablation-clone      snapshot clone: recycled block pointers vs deep copy
+//!   ablation-ordering   EBR pin/unpin per OrderingMode, alone and contended
+//!   ablation-blocksize  QSBRArray updates and growth per block size
+//!   ablation-vector     DistVector vs lock-free vector vs Mutex<Vec>
+//!
 //! OPTIONS
 //!   --locales L1,L2,..   locale counts to sweep      (default 1,2,4,8)
 //!   --tasks N            tasks per locale            (default 4)
@@ -25,15 +31,22 @@
 //!   --json               emit JSON instead of tables
 //! ```
 
-use rcuarray_bench::arrays::{make_array, ArrayKind};
+use parking_lot::Mutex;
+use rcuarray::{Block, BlockRegistry, Config, Snapshot};
+use rcuarray_baselines::LockFreeVector;
+use rcuarray_bench::arrays::{make_array, make_array_config, ArrayKind};
 use rcuarray_bench::report::{Series, Table};
 use rcuarray_bench::runner::{
     run_checkpoint_sweep, run_indexing, run_resize, IndexingParams, ResizeParams,
 };
 use rcuarray_bench::workload::IndexPattern;
-use rcuarray_runtime::{Cluster, LatencyModel, Topology};
+use rcuarray_collections::DistVector;
+use rcuarray_ebr::{EpochZone, OrderingMode};
+use rcuarray_runtime::{Cluster, LatencyModel, LocaleId, Topology};
 use std::io::Write;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Mirrors every output line into `target/paper_tables_output.txt`, so a
 /// run leaves a reviewable artifact without a shell redirect polluting
@@ -142,9 +155,10 @@ fn parse_args() -> Options {
             "--reps" => opts.reps = args.next().expect("--reps needs a value").parse().unwrap(),
             "--help" | "-h" => {
                 eprintln!(
-                    "figures: fig2a fig2b fig2c fig2d fig3 fig4 all; options: \
-                     --locales --tasks --ops --increments --quick --full \
-                     --extras --latency --json"
+                    "figures: fig2a fig2b fig2c fig2d fig3 fig4 all readmix \
+                     ablation-clone ablation-ordering ablation-blocksize \
+                     ablation-vector; options: --locales --tasks --ops \
+                     --increments --quick --full --extras --latency --json"
                 );
                 std::process::exit(0);
             }
@@ -396,6 +410,273 @@ fn fig4(opts: &Options, tee: &mut Tee) {
     }
 }
 
+/// Best-of-`reps` rate of `pass`, which returns `(items, elapsed)`.
+fn best_rate(reps: usize, mut pass: impl FnMut() -> (usize, Duration)) -> f64 {
+    (0..reps.max(1))
+        .map(|_| {
+            let (items, elapsed) = pass();
+            items as f64 / elapsed.as_secs_f64()
+        })
+        .fold(0.0f64, f64::max)
+}
+
+/// Ablation (§III-C): a resize clones the snapshot by recycling block
+/// pointers; the alternative (a Chapel-style realloc) allocates fresh
+/// blocks and copies every element.
+fn ablation_clone(opts: &Options, tee: &mut Tee) {
+    const BLOCK: usize = 1024;
+    let counts = vec![16usize, 128, 1024];
+    let title = format!("Ablation: snapshot clone, elements/s ({BLOCK}-element blocks)");
+    let mut table = Table::new(title, "blocks", counts.clone());
+    let mut recycle = Series::new("recycle");
+    let mut deep = Series::new("deep copy");
+    for &blocks in &counts {
+        let registry = BlockRegistry::new();
+        let refs = (0..blocks)
+            .map(|i| registry.adopt(Block::new(LocaleId::new((i % 4) as u32), BLOCK)))
+            .collect();
+        let snap = Snapshot::<u64>::from_blocks(refs, 0);
+        let clones = (opts.big_ops / blocks).max(1);
+        let elements = clones * blocks * BLOCK;
+        recycle.push(
+            blocks,
+            best_rate(opts.reps, || {
+                let start = Instant::now();
+                for _ in 0..clones {
+                    std::hint::black_box(snap.clone_recycled(&[]));
+                }
+                (elements, start.elapsed())
+            }),
+        );
+        deep.push(
+            blocks,
+            best_rate(opts.reps, || {
+                let mut elapsed = Duration::ZERO;
+                for _ in 0..clones {
+                    // A scratch registry per clone bounds memory; adopting
+                    // the new blocks is part of what a realloc pays. Its
+                    // drop stays outside the timed region.
+                    let scratch = BlockRegistry::new();
+                    let start = Instant::now();
+                    let copies: Vec<_> = snap
+                        .blocks()
+                        .iter()
+                        .map(|old| {
+                            // SAFETY: `registry` owns these blocks and
+                            // outlives the loop.
+                            let old = unsafe { old.get() };
+                            let new = Block::new(old.home(), old.capacity());
+                            new.copy_from(old);
+                            scratch.adopt(new)
+                        })
+                        .collect();
+                    std::hint::black_box(Snapshot::from_blocks(copies, 1));
+                    elapsed += start.elapsed();
+                }
+                (elements, elapsed)
+            }),
+        );
+    }
+    table.push_series(recycle);
+    table.push_series(deep);
+    emit(opts, tee, &table);
+}
+
+/// Ablation (§V-B): how much of EBR's read cost is the ordering of the
+/// `EpochReaders` RMWs and how much is contention on them. Pin/unpin
+/// pairs per second, alone and against two readers on the same zone.
+fn ablation_ordering(opts: &Options, tee: &mut Tee) {
+    let pairs = opts.big_ops * 16;
+    let contenders = vec![0usize, 2];
+    let title = format!("Ablation: EBR pin/unpin pairs/s per OrderingMode ({pairs} pairs)");
+    let mut table = Table::new(title, "readers", contenders.clone());
+    for (name, mode) in [
+        ("SeqCst", OrderingMode::SeqCst),
+        ("AcqRelFence", OrderingMode::AcqRelFence),
+        // Measurement-only lower bound: the zone refuses to reclaim
+        // under it, and pin/unpin never reclaims.
+        ("Relaxed(unsound)", OrderingMode::Relaxed),
+    ] {
+        let mut series = Series::new(name);
+        for &readers in &contenders {
+            let rate = best_rate(opts.reps, || {
+                let zone = EpochZone::with_mode(mode);
+                let stop = AtomicBool::new(false);
+                std::thread::scope(|s| {
+                    for _ in 0..readers {
+                        s.spawn(|| {
+                            while !stop.load(Ordering::Relaxed) {
+                                zone.unpin(zone.pin());
+                            }
+                        });
+                    }
+                    let start = Instant::now();
+                    for _ in 0..pairs {
+                        let t = zone.pin();
+                        std::hint::black_box(&t);
+                        zone.unpin(t);
+                    }
+                    let elapsed = start.elapsed();
+                    stop.store(true, Ordering::Relaxed);
+                    (pairs, elapsed)
+                })
+            });
+            series.push(readers, rate);
+        }
+        table.push_series(series);
+    }
+    emit(opts, tee, &table);
+}
+
+/// Ablation: the `BlockSize` constant (paper: 1024). Small blocks grow
+/// in cheap steps but give each snapshot more blocks to clone; large
+/// blocks amortize metadata but coarsen placement.
+fn ablation_blocksize(opts: &Options, tee: &mut Tee) {
+    const CAPACITY: usize = 1 << 16;
+    let sizes = vec![64usize, 256, 1024, 4096];
+    let ops = (opts.big_ops / 8).max(1);
+    let title = format!(
+        "Ablation: QSBRArray block size, 2 locales x {} tasks: random updates/s \
+         ({ops} ops/task) and elements grown/s (one-block resizes, 0 -> {CAPACITY})",
+        opts.tasks
+    );
+    let mut table = Table::new(title, "block", sizes.clone());
+    let mut updates = Series::new("updates/s");
+    let mut grown = Series::new("grown/s");
+    let cluster = cluster_for(opts, 2);
+    let qsbr = |bs| make_array_config(ArrayKind::Qsbr, &cluster, bs, false, OrderingMode::SeqCst);
+    for &bs in &sizes {
+        let params = IndexingParams {
+            tasks_per_locale: opts.tasks,
+            ops_per_task: ops,
+            capacity: CAPACITY,
+            seed: 42,
+            ..IndexingParams::default()
+        };
+        let updates_per_sec = run_indexing(qsbr(bs).as_ref(), &cluster, &params).ops_per_sec;
+        updates.push(bs, updates_per_sec);
+        let growth = ResizeParams {
+            increments: CAPACITY / bs,
+            increment: bs,
+        };
+        let resizes_per_sec = run_resize(qsbr(bs).as_ref(), &growth).ops_per_sec;
+        grown.push(bs, resizes_per_sec * bs as f64);
+    }
+    table.push_series(updates);
+    table.push_series(grown);
+    emit(opts, tee, &table);
+}
+
+/// The growable-vector designs `ablation-vector` compares.
+trait Vecish: Send + Sync {
+    fn push(&self, v: u64);
+    fn get(&self, i: usize) -> u64;
+    fn len(&self) -> usize;
+}
+
+impl Vecish for DistVector<u64> {
+    fn push(&self, v: u64) {
+        DistVector::push(self, v);
+    }
+    fn get(&self, i: usize) -> u64 {
+        DistVector::get(self, i)
+    }
+    fn len(&self) -> usize {
+        DistVector::len(self)
+    }
+}
+
+impl Vecish for LockFreeVector<u64> {
+    fn push(&self, v: u64) {
+        self.push_back(v);
+    }
+    fn get(&self, i: usize) -> u64 {
+        self.read(i)
+    }
+    fn len(&self) -> usize {
+        LockFreeVector::len(self)
+    }
+}
+
+impl Vecish for Mutex<Vec<u64>> {
+    fn push(&self, v: u64) {
+        self.lock().push(v);
+    }
+    fn get(&self, i: usize) -> u64 {
+        self.lock()[i]
+    }
+    fn len(&self) -> usize {
+        self.lock().len()
+    }
+}
+
+/// Ablation (§VI, §II): the paper's distributed vector on the RCUArray
+/// backbone vs the Dechev et al. lock-free vector vs a mutex-protected
+/// `Vec`, for concurrent pushes and for indexed reads of a grown vector.
+fn ablation_vector(opts: &Options, tee: &mut Tee) {
+    let (n, n_reads) = (opts.big_ops, 4 * opts.big_ops);
+    let threads = vec![1usize, 2];
+    let cluster = cluster_for(opts, 2);
+    let make = |name| -> Box<dyn Vecish> {
+        match name {
+            "DistVector" => {
+                let config = Config {
+                    block_size: 256,
+                    account_comm: false,
+                    ..Config::default()
+                };
+                Box::new(DistVector::<u64>::with_config(&cluster, config))
+            }
+            "LockFreeVec" => Box::new(LockFreeVector::<u64>::new()),
+            _ => Box::new(Mutex::new(Vec::new())),
+        }
+    };
+    let title = format!("Ablation: vector concurrent push, pushes/s ({n} per thread)");
+    let mut pushes = Table::new(title, "threads", threads.clone());
+    let title = format!("Ablation: vector indexed read, reads/s ({n_reads} per thread)");
+    let mut reads = Table::new(title, "threads", threads.clone());
+    for name in ["DistVector", "LockFreeVec", "MutexVec"] {
+        let mut push_series = Series::new(name);
+        let mut read_series = Series::new(name);
+        for &t in &threads {
+            let rate = best_rate(opts.reps, || {
+                let v = make(name);
+                let start = Instant::now();
+                std::thread::scope(|s| {
+                    for k in 0..t {
+                        let v = &v;
+                        s.spawn(move || (0..n).for_each(|i| v.push((k * n + i) as u64)));
+                    }
+                });
+                let elapsed = start.elapsed();
+                assert_eq!(v.len(), t * n, "{name} lost a push");
+                (t * n, elapsed)
+            });
+            push_series.push(t, rate);
+            let v = make(name);
+            (0..n).for_each(|i| v.push(i as u64));
+            let rate = best_rate(opts.reps, || {
+                let start = Instant::now();
+                std::thread::scope(|s| {
+                    for _ in 0..t {
+                        let v = &v;
+                        s.spawn(move || {
+                            let sum = (0..n_reads).fold(0u64, |a, i| a.wrapping_add(v.get(i % n)));
+                            std::hint::black_box(sum);
+                        });
+                    }
+                });
+                (t * n_reads, start.elapsed())
+            });
+            read_series.push(t, rate);
+        }
+        pushes.push_series(push_series);
+        reads.push_series(read_series);
+    }
+    emit(opts, tee, &pushes);
+    emit(opts, tee, &reads);
+}
+
 fn main() {
     let opts = parse_args();
     let mut tee = Tee::create();
@@ -437,7 +718,13 @@ fn main() {
             "fig3" => fig3(&opts, &mut tee),
             "fig4" => fig4(&opts, &mut tee),
             "readmix" => readmix(&opts, &mut tee),
-            other => eprintln!("unknown figure '{other}' (try fig2a..fig4, readmix, or all)"),
+            "ablation-clone" => ablation_clone(&opts, &mut tee),
+            "ablation-ordering" => ablation_ordering(&opts, &mut tee),
+            "ablation-blocksize" => ablation_blocksize(&opts, &mut tee),
+            "ablation-vector" => ablation_vector(&opts, &mut tee),
+            other => {
+                eprintln!("unknown figure '{other}' (try fig2a..fig4, readmix, ablation-*, or all)")
+            }
         }
     }
 }

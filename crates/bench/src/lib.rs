@@ -20,9 +20,10 @@
 //! * [`telemetry`] — background gauge sampling and the
 //!   `BENCH_<workload>.json` report the `bench` binary emits.
 //!
-//! Criterion benches under `benches/` regenerate each figure
-//! statistically; the `paper_tables` binary prints the same rows/series
-//! the paper plots (x = locales, y = operations per second).
+//! The `paper_tables` binary prints the rows/series the paper plots
+//! (x = locales, y = operations per second) and the design ablations of
+//! DESIGN.md §5 (`ablation-*` figures); the `bench` binary emits the
+//! telemetry reports.
 
 pub mod arrays;
 pub mod report;

@@ -29,6 +29,12 @@ impl Reclaim for EpochZone {
     }
 
     fn retire(&self, retired: Retired) {
+        // Every generic consumer (RcuPtr, RcuArray, DistTable) frees
+        // through here; the measurement-only mode must never reclaim.
+        assert!(
+            self.mode().is_sound(),
+            "OrderingMode::Relaxed cannot protect real reclamation"
+        );
         self.retire_robust(retired);
     }
 

@@ -16,8 +16,8 @@
 //!   [`LazyHistogram`] values. The first touch interns the metric in the
 //!   global [`Registry`]; later touches are a pointer chase.
 //! * **Sharded counters.** [`Counter`] spreads increments over
-//!   cache-line-padded shards picked from a stack-slot address (the same
-//!   TLS-free trick as the sharded EBR zone), so hot counters do not
+//!   cache-line-padded shards picked from a stack-slot address (a
+//!   TLS-free pick, like the EBR zone's), so hot counters do not
 //!   serialize writers on one line.
 //! * **Log-bucketed histograms.** [`Histogram`] is HDR-style: 4
 //!   sub-buckets per power of two over the full `u64` range, constant

@@ -1,5 +1,6 @@
 //! Cache-line padding and the TLS-free shard pick shared by the sharded
-//! metric cores (same trick as `rcuarray_ebr::ShardedEpochZone`).
+//! metric cores (no thread-local storage, in the spirit of the paper's
+//! TLS-free EBR).
 
 use rcuarray_analysis::atomic::AtomicU64;
 

@@ -229,6 +229,17 @@ mod tests {
     }
 
     #[test]
+    fn qsbr_shared_domain_reclaims_across_clones() {
+        let a = QsbrDomain::new();
+        let b = a.clone();
+        let c = Arc::new(AtomicUsize::new(0));
+        retire_counting(&a, &c);
+        // A checkpoint through the *other* clone frees it: same domain.
+        assert_eq!(b.quiesce(), 1);
+        assert_eq!(c.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
     fn qsbr_epoch_lag_tracks_the_slowest_participant() {
         let d = QsbrDomain::new();
         d.register_current_thread();

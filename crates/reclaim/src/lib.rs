@@ -7,10 +7,11 @@
 //! the paper's `isQSBR` compile-time parameter as *behavior* rather than
 //! a boolean: the read-side protocol lives in a GAT guard type, the
 //! write-side protocol in [`retire`](Reclaim::retire), and quiescence in
-//! [`quiesce`](Reclaim::quiesce). `RcuArray`, `RcuPtr`, `RcuList`, the
-//! collections, the hazard-pointer baseline, and the bench harness all
-//! consume this one interface; `rcuarray-ebr` and `rcuarray-qsbr`
-//! implement it natively on `EpochZone` and `QsbrDomain`.
+//! [`quiesce`](Reclaim::quiesce). `RcuArray`, the collections, the
+//! hazard-pointer baseline, the bench harness and [`RcuPtr`] (the
+//! scheme-generic RCU cell defined here) all consume this one interface;
+//! `rcuarray-ebr` and `rcuarray-qsbr` implement it natively on
+//! `EpochZone` and `QsbrDomain`.
 //!
 //! Two further schemes prove the seam is real without touching any
 //! consumer: [`LeakReclaim`] (defined here — no-op guards, never frees,
@@ -53,6 +54,10 @@
 
 use rcuarray_analysis::atomic::{AtomicU64, Ordering};
 use rcuarray_obs::LazyCounter;
+
+pub mod rcu_ptr;
+
+pub use rcu_ptr::RcuPtr;
 
 // Process-wide pressure telemetry (the per-scheme stats carry the
 // scheme-local view; these totals feed BENCH_*.json).

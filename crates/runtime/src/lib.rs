@@ -57,7 +57,7 @@ pub mod transport;
 
 pub use collectives::{all_reduce, broadcast, reduce, ClusterBarrier};
 pub use comm::{CommLayer, CommStats, FaultStats, LatencyModel};
-pub use dist::{BlockCyclicDist, BlockDist, RoundRobinCounter};
+pub use dist::{BlockDist, RoundRobinCounter};
 pub use fault::{CommError, FaultAction, FaultEvent, FaultPlan, OpKind, RetryPolicy};
 pub use global_lock::{GlobalLock, GlobalLockGuard};
 pub use locale::{Locale, LocaleId};

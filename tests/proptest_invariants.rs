@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use rcuarray_qsbr::DeferList;
 use rcuarray_repro::prelude::*;
-use rcuarray_runtime::{BlockCyclicDist, BlockDist, RoundRobinCounter};
+use rcuarray_runtime::{BlockDist, RoundRobinCounter};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -71,7 +71,7 @@ proptest! {
 
 // ---------------------------------------------------------------------
 // Distribution math: BlockDist chunks partition the index space and
-// BlockCyclic round-robin covers all locales within a spread of one.
+// round-robin block placement covers all locales within a spread of one.
 // ---------------------------------------------------------------------
 proptest! {
     #[test]
@@ -102,21 +102,6 @@ proptest! {
         let max = *hist.iter().max().unwrap();
         let min = *hist.iter().min().unwrap();
         prop_assert!(max - min <= 1, "hist {:?}", hist);
-    }
-
-    #[test]
-    fn block_cyclic_locate_round_trips(
-        idx in 0usize..100_000,
-        block_size in 1usize..5000,
-        locales in 1usize..9,
-    ) {
-        let d = BlockCyclicDist::new(block_size, locales);
-        let b = d.block_of(idx);
-        let off = d.offset_of(idx);
-        prop_assert_eq!(b * block_size + off, idx);
-        prop_assert!(off < block_size);
-        let loc = d.locale_of_block(b, LocaleId::ZERO);
-        prop_assert!(loc.index() < locales);
     }
 }
 

@@ -7,8 +7,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 #[test]
-fn ebr_writer_waits_for_pinned_reader_through_rcucell() {
-    let cell = Arc::new(RcuCell::new(vec![1u8, 2, 3]));
+fn ebr_writer_waits_for_pinned_reader_through_rcu_ptr() {
+    let cell = Arc::new(RcuPtr::new(vec![1u8, 2, 3], Arc::new(EpochZone::new())));
     let writer_done = Arc::new(AtomicBool::new(false));
 
     // A reader that holds the read-side critical section open.
@@ -27,7 +27,7 @@ fn ebr_writer_waits_for_pinned_reader_through_rcucell() {
     });
 
     std::thread::sleep(Duration::from_millis(20));
-    cell.write(|v| {
+    cell.update(|v| {
         let mut v = v.clone();
         v.push(4);
         v
@@ -147,7 +147,7 @@ fn generic_rcu_ptr_reclaims_under_both_backends() {
     // Canary payloads are only dropped via retire/quiesce or final drop.
     let drops_ebr = Arc::new(AtomicUsize::new(0));
     {
-        let p = RcuPtr::new(Canary(Arc::clone(&drops_ebr)), Arc::new(EbrReclaim::new()));
+        let p = RcuPtr::new(Canary(Arc::clone(&drops_ebr)), Arc::new(EpochZone::new()));
         p.replace(Canary(Arc::clone(&drops_ebr)));
         assert_eq!(drops_ebr.load(Ordering::SeqCst), 1, "EBR frees at retire");
     }
@@ -155,7 +155,7 @@ fn generic_rcu_ptr_reclaims_under_both_backends() {
 
     let drops_qsbr = Arc::new(AtomicUsize::new(0));
     {
-        let reclaim = Arc::new(QsbrReclaim::new());
+        let reclaim = Arc::new(QsbrDomain::new());
         let p = RcuPtr::new(Canary(Arc::clone(&drops_qsbr)), Arc::clone(&reclaim));
         p.replace(Canary(Arc::clone(&drops_qsbr)));
         assert_eq!(drops_qsbr.load(Ordering::SeqCst), 0, "QSBR defers");
@@ -196,12 +196,12 @@ fn exited_reader_threads_do_not_leak_or_wedge_the_domain() {
 fn epoch_zone_overflow_safety_through_the_cell() {
     // Lemma 2 at the API level: a cell whose zone sits at the epoch
     // ceiling keeps functioning across the wrap.
-    let cell = RcuCell::new(0u64);
-    cell.zone().set_epoch_for_test(u64::MAX - 1);
+    let cell = RcuPtr::new(0u64, Arc::new(EpochZone::new()));
+    cell.reclaimer().set_epoch_for_test(u64::MAX - 1);
     for i in 1..=10 {
-        cell.write(|v| v + i);
+        cell.update(|v| v + i);
         assert_eq!(cell.read(|v| *v), (1..=i).sum::<u64>());
     }
     // 10 writes from MAX-1 wrapped past 0.
-    assert!(cell.zone().epoch() < 16);
+    assert!(cell.reclaimer().epoch() < 16);
 }
