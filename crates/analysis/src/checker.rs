@@ -312,6 +312,10 @@ struct ThreadSt {
     blocked: Option<BlockedOn>,
     /// Last executed step was a yield (forced-mode default rotates away).
     last_yield: bool,
+    /// ... and that yield was a spin (facade `yield_now`), not the
+    /// thread-start point: forced mode disables the thread for the next
+    /// pick when another thread can run.
+    spun: bool,
     /// PCT priority; initial values live in `[2^64, 2^65)`, demotions
     /// count down from `2^64 - 1`, so any demoted thread ranks below any
     /// undemoted one and successive demotions rank lower still.
@@ -555,6 +559,15 @@ impl Session {
             return;
         }
         let pick = if st.forced.is_some() || st.policy == Policy::Dpor {
+            // A thread that just yielded is disabled while another can
+            // run. Re-running a spin loop's failed iteration before any
+            // other thread moves only stutters; recording it as a branch
+            // would make every spin an unbounded family of traces.
+            if let Some(y) = st.last_ran.filter(|&l| st.threads[l].spun) {
+                if cands.len() > 1 {
+                    cands.retain(|&c| c != y);
+                }
+            }
             // Forced mode: consume the schedule prefix, then fall back to
             // a deterministic default that skips sleeping threads.
             let mut pick = None;
@@ -653,6 +666,7 @@ fn register_thread_in(st: &mut State, parent: Option<usize>) -> usize {
         finished: false,
         blocked: None,
         last_yield: false,
+        spun: false,
         priority,
     });
     st.unfinished += 1;
@@ -725,6 +739,7 @@ fn with_step<R>(sess: &Session, me: usize, f: impl FnOnce(&mut State, usize) -> 
         watermark: loc_watermark(),
     });
     st.threads[me].last_yield = false;
+    st.threads[me].spun = false;
     let r = f(&mut st, me);
     if st.aborted {
         // The operation set the abort flag (stop-on-first-race or a
@@ -1194,6 +1209,10 @@ pub(crate) fn cv_wake(slot: &LocSlot) {
 /// A pure scheduling point (facade `yield_now`, spin backoff, modeled
 /// sleeps).
 pub(crate) fn yield_step() {
+    yield_step_as(true)
+}
+
+fn yield_step_as(spin: bool) {
     if let Some((s, me)) = session_for_op() {
         with_step(&s, me, |st, me| {
             note_op(
@@ -1205,6 +1224,7 @@ pub(crate) fn yield_step() {
             );
             st.threads[me].clock.tick(me);
             st.threads[me].last_yield = true;
+            st.threads[me].spun = spin;
         })
     }
 }
@@ -1253,7 +1273,7 @@ pub(crate) fn run_child<T>(spawn: CheckedSpawn, f: impl FnOnce() -> T) -> Option
     let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         // First scheduling point: parks, which also signals the parent
         // that the candidate set now includes this thread.
-        yield_step();
+        yield_step_as(false);
         f()
     }));
     TLS_SESSION.with(|t| *t.borrow_mut() = None);

@@ -46,6 +46,12 @@ pub mod shadow;
 pub mod sync;
 pub mod thread;
 
+/// Whether this build compiles the instrumented facade (the `check`
+/// feature). Measured binaries refuse to run when it is on: feature
+/// unification turns it on for every crate of a build that includes this
+/// crate's test targets (`cargo test --workspace`, `--all-targets`).
+pub const CHECK_ENABLED: bool = cfg!(feature = "check");
+
 pub use cell::CheckedCell;
 pub use sched::Policy;
 pub use sync::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};

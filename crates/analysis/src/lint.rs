@@ -97,9 +97,8 @@ pub const RELAXED_ALLOWLIST: &[&str] = &[
     // Per-element cells: Relaxed load/store is the paper's data-plane
     // contract (element visibility is ordered by snapshot publication).
     "crates/rcuarray/src/element.rs",
-    // Pre-facade crates, audited wholesale: the abstract model checker,
-    // the baseline arrays, collections and bench harness.
-    "crates/model/",
+    // Pre-facade crates, audited wholesale: the baseline arrays,
+    // collections and bench harness.
     "crates/baselines/",
     "crates/collections/",
     "crates/bench/",
@@ -197,10 +196,9 @@ pub const SCHEME_FLAG_ALLOWLIST: &[&str] = &["crates/reclaim/"];
 pub const SYNC_ALLOWLIST: &[&str] = &[
     // The facade itself wraps the std types.
     "crates/analysis/",
-    // Not-yet-migrated crates (tracked in ROADMAP): the model checker,
-    // baselines, collections, bench harness, and the unmigrated parts of
-    // the simulated runtime.
-    "crates/model/",
+    // Not-yet-migrated crates (tracked in ROADMAP): baselines,
+    // collections, bench harness, and the unmigrated parts of the
+    // simulated runtime.
     "crates/baselines/",
     "crates/collections/",
     "crates/bench/",
@@ -989,7 +987,7 @@ mod tests {
     #[test]
     fn guard_across_blocking_not_enforced_outside_instrumented_crates() {
         let v = lint_source(
-            Path::new("crates/model/src/whatever.rs"),
+            Path::new("crates/baselines/src/whatever.rs"),
             "fn f(d: &D) {\n    let g = d.read_lock();\n    std::thread::sleep(t);\n}\n",
         );
         assert!(!v.iter().any(|v| v.rule == Rule::GuardAcrossBlocking));

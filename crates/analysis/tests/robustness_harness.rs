@@ -14,7 +14,7 @@
 
 use rcuarray_analysis::atomic::{AtomicUsize, Ordering};
 use rcuarray_analysis::{thread, CheckedCell, Checker, Config, Policy};
-use rcuarray_qsbr::{PressureConfig, QsbrDomain, Reclaim, Retired, StallPolicy};
+use rcuarray_qsbr::{PressureConfig, QsbrDomain, Reclaim, Registry, Retired, StallPolicy};
 use std::sync::Arc;
 
 /// The quarantine-ladder scenario shared by the sampled sweep and the
@@ -103,6 +103,47 @@ fn quarantine_ladder_clean_under_dpor() {
         ..Config::default()
     })
     .run(quarantine_scenario);
+    assert!(report.is_clean(), "{report}");
+}
+
+/// Two checkpoints scanning for stalls at once must quarantine a stalled
+/// record once. A second scanner that read the record as participating
+/// before the first quarantined it, and takes the record's exclusion
+/// flag after the first released it, must re-check participation under
+/// the flag. Otherwise both count the quarantine, the gauge reaches 2,
+/// and the owner's one rejoin leaves it at 1 for good.
+#[test]
+fn concurrent_stall_scans_quarantine_once_under_dpor() {
+    let report = Checker::new(Config {
+        policy: Policy::Dpor,
+        iterations: 64,
+        ..Config::default()
+    })
+    .run(|| {
+        let registry = Arc::new(Registry::new());
+        let stalled = registry.register(0);
+        let scanners: Vec<_> = (0..2)
+            .map(|_| {
+                let r = registry.clone();
+                thread::spawn(move || r.quarantine_stalled(2, 2, StallPolicy::after(1, 1)))
+            })
+            .collect();
+        let quarantined: usize = scanners.into_iter().map(|h| h.join().unwrap()).sum();
+        assert_eq!(quarantined, 1, "one stalled record, quarantined twice");
+        // The owner's rejoin, as a checkpoint performs it.
+        let rejoined = {
+            let _defer = stalled.lock_defer();
+            stalled.take_quarantined()
+        };
+        if rejoined {
+            registry.note_rejoin();
+        }
+        assert_eq!(
+            registry.num_quarantined(),
+            0,
+            "rejoin must clear quarantine"
+        );
+    });
     assert!(report.is_clean(), "{report}");
 }
 

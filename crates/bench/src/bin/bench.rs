@@ -431,6 +431,7 @@ fn finish(workload: &str, opts: &Options, variants: Vec<VariantReport>) {
 }
 
 fn main() {
+    rcuarray_bench::exit_if_instrumented();
     let opts = parse_args();
     println!(
         "transport backend: {}  replication factor: {}",

@@ -678,6 +678,7 @@ fn ablation_vector(opts: &Options, tee: &mut Tee) {
 }
 
 fn main() {
+    rcuarray_bench::exit_if_instrumented();
     let opts = parse_args();
     let mut tee = Tee::create();
     if !opts.json {

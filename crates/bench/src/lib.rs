@@ -40,3 +40,37 @@ pub use runner::{
 pub use service_load::{run_service_load, ServiceLoadParams, ServiceLoadResult};
 pub use telemetry::{bench_json, write_bench_report, Sample, Sampler, VariantReport};
 pub use workload::{sequential_indices, shuffled_indices, IndexPattern, IndexStream};
+
+/// The reason a measured binary must refuse to run, or `None` when it may:
+/// a build with the checker's `check` feature routes every atomic of the
+/// measured crates through scheduling hooks, so its numbers would
+/// describe the checker.
+pub fn instrumented_build_refusal(check_enabled: bool) -> Option<&'static str> {
+    check_enabled.then_some(
+        "refusing to measure: built with the checker's `check` feature \
+         (feature unification from a workspace test build); \
+         rebuild with `cargo build --release -p rcuarray-bench`",
+    )
+}
+
+/// Exit with status 2 and a one-line reason when this binary was built
+/// with the checker's `check` feature (see [`instrumented_build_refusal`]).
+pub fn exit_if_instrumented() {
+    if let Some(reason) = instrumented_build_refusal(rcuarray_analysis::CHECK_ENABLED) {
+        eprintln!("{reason}");
+        std::process::exit(2);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::instrumented_build_refusal;
+
+    #[test]
+    fn instrumented_builds_are_refused_with_a_reason() {
+        assert_eq!(instrumented_build_refusal(false), None);
+        let reason = instrumented_build_refusal(true).expect("check builds are refused");
+        assert!(reason.contains("`check` feature"), "{reason}");
+        assert!(!reason.contains('\n'), "one line: {reason}");
+    }
+}

@@ -250,6 +250,22 @@ impl EpochZone {
     /// undo the operation and loop again"; on a match it has linearized.
     #[inline]
     pub fn pin(&self) -> ReadTicket {
+        self.pin_with(true)
+    }
+
+    /// [`pin`](Self::pin) minus the verification read (Algorithm 1
+    /// line 13): the protocol mutation the checker must catch. Exists
+    /// only in `check` builds, for the mutation harnesses.
+    #[cfg(feature = "check")]
+    #[doc(hidden)]
+    pub fn pin_unverified_for_test(&self) -> ReadTicket {
+        self.pin_with(false)
+    }
+
+    /// The read-increment-verify loop behind [`pin`](Self::pin);
+    /// `verify == false` only in the `check`-gated mutation.
+    #[inline(always)]
+    fn pin_with(&self, verify: bool) -> ReadTicket {
         let mut backoff = Backoff::new();
         loop {
             let epoch = self.global_epoch.0.load(self.mode.load());
@@ -261,7 +277,7 @@ impl EpochZone {
                 // this reader and have this reader miss its advance.
                 fence(Ordering::SeqCst);
             }
-            if epoch == self.global_epoch.0.load(self.mode.load()) {
+            if !verify || epoch == self.global_epoch.0.load(self.mode.load()) {
                 // Linearized: any writer advancing past `epoch` is now
                 // obliged to wait for this parity counter to drain.
                 self.pins.0.fetch_add(1, Ordering::Relaxed);

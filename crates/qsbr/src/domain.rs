@@ -260,6 +260,27 @@ impl QsbrDomain {
         })
     }
 
+    /// Unregister the calling thread now, as its exit would: pending
+    /// defers go to the orphan list and the thread stops gating the
+    /// minimum. A later use registers it afresh. The thread must hold no
+    /// protected references.
+    pub fn unregister_current_thread(&self) {
+        let id = self.inner.id;
+        let entry = TLS.with(|tls| {
+            let mut tls = tls.borrow_mut();
+            let at = tls.entries.iter().position(|e| e.domain_id == id)?;
+            Some(tls.entries.swap_remove(at))
+        });
+        if let Some(entry) = entry {
+            LAST_REGISTERED.with(|c| {
+                if c.get() == id {
+                    c.set(0);
+                }
+            });
+            self.inner.registry.unregister(&entry.record);
+        }
+    }
+
     /// Explicitly register the calling thread (otherwise lazy).
     pub fn register_current_thread(&self) {
         let _ = self.record();
@@ -337,7 +358,7 @@ impl QsbrDomain {
     /// memory managed by QSBR if it has been acquired prior to a
     /// checkpoint" (paper §III-B).
     pub fn checkpoint(&self) -> usize {
-        self.checkpoint_impl(usize::MAX, usize::MAX)
+        self.checkpoint_impl(usize::MAX, usize::MAX, true)
     }
 
     /// [`checkpoint`](Self::checkpoint) with a bounded drain: announce
@@ -358,7 +379,7 @@ impl QsbrDomain {
     /// calling thread must hold no references to protected data acquired
     /// before this call.
     pub fn checkpoint_budgeted(&self, budget: usize) -> usize {
-        self.checkpoint_impl(budget, usize::MAX)
+        self.checkpoint_impl(budget, usize::MAX, true)
     }
 
     /// [`checkpoint_budgeted`](Self::checkpoint_budgeted) with an
@@ -367,13 +388,24 @@ impl QsbrDomain {
     /// so a bounded drain composes with [`PressureConfig`]'s byte caps —
     /// what the cap measures is what the drain retires against.
     pub fn checkpoint_budgeted_bytes(&self, budget: usize, byte_budget: usize) -> usize {
-        self.checkpoint_impl(budget, byte_budget)
+        self.checkpoint_impl(budget, byte_budget, true)
+    }
+
+    /// [`checkpoint`](Self::checkpoint) that frees by the caller's own
+    /// observed epoch instead of the minimum over all participants — the
+    /// Lemma 5 mutation the checker must catch. Exists only in `check`
+    /// builds, for the mutation harnesses.
+    #[cfg(feature = "check")]
+    #[doc(hidden)]
+    pub fn checkpoint_local_epoch_for_test(&self) -> usize {
+        self.checkpoint_impl(usize::MAX, usize::MAX, false)
     }
 
     /// The one checkpoint engine behind [`checkpoint`](Self::checkpoint)
     /// and its budgeted variants: announce quiescence, rejoin after
     /// quarantine, detect stalls, then drain within the given budgets.
-    fn checkpoint_impl(&self, budget: usize, byte_budget: usize) -> usize {
+    /// `by_minimum == false` only in the `check`-gated mutation.
+    fn checkpoint_impl(&self, budget: usize, byte_budget: usize, by_minimum: bool) -> usize {
         let record = self.record();
         // Observe the current state: a promise of quiescence of any
         // earlier state (lines 4–5). The defer guard spans the observe so
@@ -409,7 +441,14 @@ impl QsbrDomain {
         record.stamp_progress(now);
         // Find the smallest (safest) epoch over all participants
         // (lines 6–8).
-        let mut min = self.inner.registry.min_observed(observed);
+        let min_observed = || {
+            if by_minimum {
+                self.inner.registry.min_observed(observed)
+            } else {
+                observed
+            }
+        };
+        let mut min = min_observed();
         // Stall detection: when the minimum trails the state epoch past
         // the policy's lag threshold, quarantine whoever exhausted their
         // patience and recompute the minimum without them.
@@ -421,7 +460,7 @@ impl QsbrDomain {
                 .quarantine_stalled(observed, now, policy);
             if q > 0 {
                 OBS_QUARANTINES.add(q as u64);
-                min = self.inner.registry.min_observed(observed);
+                min = min_observed();
             }
         }
         // Split our defer list at the safe boundary and reclaim
@@ -695,6 +734,29 @@ mod tests {
         assert_eq!(c.load(Ordering::SeqCst), 0, "exit must not free early");
         assert_eq!(d.checkpoint(), 1, "orphan freed once main quiesces");
         assert_eq!(c.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn unregistered_thread_orphans_its_defers_and_rejoins_on_next_use() {
+        let d = QsbrDomain::new();
+        let c = Arc::new(AtomicUsize::new(0));
+        d.register_current_thread(); // lagging main gates the worker
+
+        let d2 = d.clone();
+        let c2 = Arc::clone(&c);
+        rcuarray_analysis::thread::spawn(move || {
+            counter_defer(&d2, &c2);
+            d2.unregister_current_thread();
+            assert_eq!(d2.num_participants(), 1, "only main participates");
+            d2.ensure_registered(); // the registration cache was reset
+            assert_eq!(d2.num_participants(), 2);
+            d2.unregister_current_thread();
+        })
+        .join()
+        .unwrap();
+
+        assert_eq!(c.load(Ordering::SeqCst), 0, "leaving must not free early");
+        assert_eq!(d.checkpoint(), 1, "orphan freed once main quiesces");
     }
 
     #[test]

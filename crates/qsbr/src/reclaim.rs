@@ -65,6 +65,10 @@ impl Reclaim for QsbrDomain {
         self.checkpoint()
     }
 
+    fn leave(&self) {
+        self.unregister_current_thread();
+    }
+
     #[inline]
     fn guards_reads(&self) -> bool {
         false
@@ -164,6 +168,10 @@ impl Reclaim for AmortizedReclaim {
     fn quiesce(&self) -> usize {
         self.domain
             .checkpoint_budgeted_bytes(self.budget, self.byte_budget)
+    }
+
+    fn leave(&self) {
+        self.domain.unregister_current_thread();
     }
 
     #[inline]

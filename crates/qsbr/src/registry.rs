@@ -193,9 +193,10 @@ impl Registry {
             let Some(mut defer) = r.try_lock_defer() else {
                 continue; // owner mid-operation: progressing, not stalled
             };
-            // Re-check under the flag: the owner may have checkpointed
-            // between the scan above and our acquisition.
-            if state_epoch.saturating_sub(r.observed()) < policy.lag_epochs {
+            // Re-check under the flag: the owner may have checkpointed,
+            // parked or exited, or a concurrent scan may have quarantined
+            // the record, between the scan above and our acquisition.
+            if !r.participates() || state_epoch.saturating_sub(r.observed()) < policy.lag_epochs {
                 continue;
             }
             r.set_quarantined(true);

@@ -493,6 +493,25 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
         }
     }
 
+    /// [`retire_snapshot`](Self::retire_snapshot) from a `coforall` task
+    /// spawned by the thread `caller`. A task on a thread of its own exits
+    /// next, so it also leaves the scheme now: the thread-local destructor
+    /// that would unregister it runs only after the `coforall` has joined
+    /// the task, and until then the idle thread gates reclamation and
+    /// trips stall detection. A task run inline (a single-locale
+    /// `coforall`) is the caller, which stays.
+    fn retire_snapshot_in_task(
+        &self,
+        st: &LocaleState<T, S::Reclaim>,
+        old_ptr: NonNull<Snapshot<T>>,
+        caller: std::thread::ThreadId,
+    ) {
+        self.retire_snapshot(st, old_ptr);
+        if std::thread::current().id() != caller {
+            st.reclaim().leave();
+        }
+    }
+
     /// Algorithm 3 `Helper` (lines 1–3): locate `idx` within a snapshot.
     #[inline]
     fn locate(&self, snap: &Snapshot<T>, idx: usize) -> (BlockRef<T>, usize) {
@@ -770,6 +789,7 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
         let new_blocks = &new_blocks;
         let published = &rollback.published;
         let view = &view;
+        let caller = std::thread::current().id();
         self.shared.cluster.coforall_locales(|l| {
             if !view.in_view(l) {
                 // An evicted (Down/Rejoining) locale cannot take the
@@ -796,7 +816,7 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
             let old_ptr = st.publish(new_snap);
             published[l.index()].store(true, Ordering::Release);
             // Lines 21–27: retire the superseded snapshot.
-            self.retire_snapshot(st, old_ptr);
+            self.retire_snapshot_in_task(st, old_ptr, caller);
         });
         if let Some(e) = first_err.into_inner().unwrap() {
             return Err(e); // rollback guard restores published locales
@@ -849,6 +869,7 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
             drop(guard);
             return current;
         }
+        let caller = std::thread::current().id();
         self.shared.cluster.coforall_locales(|l| {
             let st = self.state.get_on(l);
             // SAFETY: write lock held; this locale's snapshot is stable.
@@ -858,7 +879,7 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
                 old_snap.version() + 1,
             );
             let old_ptr = st.publish(new_snap);
-            self.retire_snapshot(st, old_ptr);
+            self.retire_snapshot_in_task(st, old_ptr, caller);
         });
         // Keep the placement map aligned with the snapshot prefix: a
         // later resize appends fresh groups at `keep_blocks`.
@@ -1581,21 +1602,19 @@ mod tests {
     fn qsbr_checkpoint_reclaims_old_snapshots() {
         let c = cluster(2);
         let a: QsbrArray<u64> = RcuArray::with_config(&c, small_config());
+        let domain = a.qsbr_domain().unwrap();
+        let participants = domain.num_participants();
         for _ in 0..4 {
             a.resize(8);
         }
-        // Resize tasks exited; their deferred snapshots are orphaned once
-        // their TLS destructors finish (which can lag the join slightly),
-        // after which this thread's checkpoint is the only gate left.
-        let mut freed = 0;
-        for _ in 0..1000 {
-            freed += a.checkpoint();
-            if a.stats().reclaim.pending == 0 {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        assert!(freed > 0, "old snapshots must be reclaimed at a checkpoint");
+        // Resize tasks left the domain before `resize` returned, orphaning
+        // their deferred snapshots, so this thread's checkpoint is the
+        // only gate left.
+        assert_eq!(domain.num_participants(), participants);
+        assert!(
+            a.checkpoint() > 0,
+            "old snapshots must be reclaimed at a checkpoint"
+        );
         assert_eq!(a.stats().reclaim.pending, 0);
         assert!(a.qsbr_domain().is_some(), "qsbr scheme exposes its domain");
     }

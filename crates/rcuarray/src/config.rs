@@ -17,9 +17,14 @@ pub struct Config {
     /// Memory ordering of the EBR reader protocol (ignored under QSBR).
     pub ordering: OrderingMode,
     /// Whether element accesses are charged through the cluster's
-    /// communication layer. Accounting costs one relaxed counter update
-    /// per access, identical across all array variants; disable it only
-    /// for microbenchmarks that isolate the reclamation protocol itself.
+    /// communication layer, identically across all array variants. A
+    /// local access costs two relaxed counter updates (the padded
+    /// per-locale counter and the `OBS_LOCAL` registry counter); a remote
+    /// one costs at least four (per-locale op and byte counters plus
+    /// their registry mirrors), a fault-plan check, and a transmission
+    /// through the transport backend.
+    /// Disable it only for microbenchmarks that isolate the reclamation
+    /// protocol itself.
     pub account_comm: bool,
     /// How fault-injected communication failures are retried (consulted by
     /// `read`/`write`/`resize` only when the cluster's fault plan is

@@ -463,6 +463,14 @@ pub trait Reclaim: Send + Sync + 'static {
     /// objects freed by this call (0 for synchronous schemes).
     fn quiesce(&self) -> usize;
 
+    /// The calling thread has finished its task and is about to exit: a
+    /// scheme with per-thread participation stops counting it now rather
+    /// than at its thread-local destructors, which run after a scoped
+    /// spawner has already joined the task. The thread must hold no
+    /// protected references. The default does nothing.
+    #[inline]
+    fn leave(&self) {}
+
     /// Whether readers must hold a guard for safety. `false` means the
     /// guard is advisory (participation registration) and reads are
     /// structurally protected.
