@@ -18,8 +18,9 @@
 //!    metric; new ones must go through the `rcuarray-obs` facade
 //!    (`LazyCounter`/`LazyGauge`/`LazyHistogram`) so they show up in the
 //!    registry, and only the audited pre-obs sites on
-//!    [`COUNTER_ALLOWLIST`] are exempt (each mirrors its events to obs or
-//!    carries per-object/per-locale meaning the global registry cannot).
+//!    [`COUNTER_ALLOWLIST`] are exempt (each mirrors its events to obs,
+//!    feeds an obs snapshot-time collector, or carries
+//!    per-object/per-locale meaning the global registry cannot).
 //! 5. **No const-bool scheme branching outside the reclaim core**: the
 //!    `IS_QSBR` flag pattern (a marker const that call sites branch on,
 //!    the literal reading of the paper's `isQSBR` parameter) may appear
@@ -107,7 +108,7 @@ pub const RELAXED_ALLOWLIST: &[&str] = &[
     "crates/runtime/src/comm.rs",
     "crates/runtime/src/fault.rs",
     // Per-link transmission counters and the delivery-log enable gate;
-    // cluster totals are mirrored to obs in the same functions.
+    // the comm collector reads the link totals at snapshot time.
     "crates/runtime/src/transport/",
     // Round-robin placement hint: the counter only steers which locale
     // homes the next block; any interleaving yields a valid placement.
@@ -156,10 +157,12 @@ pub const COUNTER_ALLOWLIST: &[&str] = &[
     // the obs gauge is set from the total in the same functions.
     "crates/rcuarray/src/placement.rs",
     // Per-locale comm/fault accounting (locality assertions need the
-    // per-locale split; cluster totals are mirrored to obs).
+    // per-locale split; the comm collector reads the process totals
+    // from these cells at snapshot time).
     "crates/runtime/src/comm.rs",
     "crates/runtime/src/fault.rs",
-    // Per-link (from, to) transmission cells; link totals mirrored to obs.
+    // Per-link (from, to) transmission cells; link totals collected at
+    // snapshot time.
     "crates/runtime/src/transport/",
     "crates/runtime/src/locale.rs",
     "crates/runtime/src/global_lock.rs",

@@ -19,6 +19,10 @@
 //!   cache-line-padded shards picked from a stack-slot address (a
 //!   TLS-free pick, like the EBR zone's), so hot counters do not
 //!   serialize writers on one line.
+//! * **Snapshot-time collectors.** A subsystem that already tallies an
+//!   event in counters of its own registers a [`Collector`]; snapshots
+//!   read its totals, so the event is counted once and its path touches
+//!   no registry line.
 //! * **Log-bucketed histograms.** [`Histogram`] is HDR-style: 4
 //!   sub-buckets per power of two over the full `u64` range, constant
 //!   memory, one atomic increment per record.
@@ -55,7 +59,7 @@ pub use histogram::{
     bucket_index, bucket_lo, Histogram, HistogramSnapshot, LazyHistogram, NUM_BUCKETS, SUBS,
     SUB_BITS,
 };
-pub use registry::{registry, MetricValue, Registry, Snapshot};
+pub use registry::{registry, Collector, MetricValue, Registry, Snapshot};
 pub use ring::{span, trace_events, Event, Span, RING_CAPACITY};
 
 /// Global on/off switch. Telemetry is on by default ("always-on"); the

@@ -3,7 +3,10 @@
 //!
 //! Registration is rare (once per metric per process) and goes through a
 //! mutex; the hot path never touches the registry — handles cache an
-//! interned `&'static` entry in a `OnceLock`.
+//! interned `&'static` entry in a `OnceLock`. Counters whose events are
+//! already tallied elsewhere register a [`Collector`] instead: the
+//! registry asks it for its totals at snapshot time, so the event path
+//! touches no registry line at all.
 
 use crate::counter::Counter;
 use crate::gauge::Gauge;
@@ -42,11 +45,18 @@ pub struct HistogramEntry {
     pub core: Histogram,
 }
 
+/// A snapshot-time counter source: called once per
+/// [`snapshot`](Registry::snapshot), it reports each of its counters as
+/// `emit(name, help, value)`. Values must be monotonic across calls, and
+/// names distinct from every other metric's.
+pub type Collector = fn(&mut dyn FnMut(&'static str, &'static str, u64));
+
 #[derive(Default)]
 struct Inner {
     counters: Vec<&'static CounterEntry>,
     gauges: Vec<&'static GaugeEntry>,
     histograms: Vec<&'static HistogramEntry>,
+    collectors: Vec<Collector>,
 }
 
 /// The metric registry. One global instance lives behind
@@ -114,8 +124,25 @@ impl Registry {
         entry
     }
 
+    /// Register a snapshot-time counter source (deduplicated by function
+    /// pointer, so registering on every construction of a type is fine).
+    /// Its counters are reported whether or not telemetry is
+    /// [enabled](crate::enabled): the collector reads counts its owner
+    /// keeps anyway.
+    pub fn register_collector(&self, collector: Collector) {
+        let mut inner = self.inner.lock();
+        if !inner
+            .collectors
+            .iter()
+            .any(|&c| std::ptr::fn_addr_eq(c, collector))
+        {
+            inner.collectors.push(collector);
+        }
+    }
+
     /// Snapshot every registered metric, sorted by name, plus the
-    /// current tracing-ring contents.
+    /// current tracing-ring contents. Collector counters are reported as
+    /// ordinary counters.
     pub fn snapshot(&self) -> Snapshot {
         let inner = self.inner.lock();
         let mut metrics =
@@ -141,7 +168,15 @@ impl Registry {
                 value: e.core.snapshot(),
             });
         }
+        let collectors = inner.collectors.clone();
+        // Collectors take their owners' locks: call them with the
+        // registry unlocked.
         drop(inner);
+        for collect in collectors {
+            collect(&mut |name, help, value| {
+                metrics.push(MetricValue::Counter { name, help, value })
+            });
+        }
         metrics.sort_by_key(|m| m.name());
         Snapshot {
             metrics,
@@ -261,5 +296,24 @@ mod tests {
         assert_eq!(s.counter("z_total"), Some(9));
         assert_eq!(s.gauge("a_gauge"), Some(-2));
         assert_eq!(s.counter("missing"), None);
+    }
+
+    #[test]
+    fn collectors_report_at_snapshot_time_and_dedupe() {
+        fn source(emit: &mut dyn FnMut(&'static str, &'static str, u64)) {
+            emit("collected_total", "c", 5);
+        }
+        let r = Registry::new();
+        r.intern_counter("interned_total", "i").core.add(1);
+        r.register_collector(source);
+        r.register_collector(source);
+        let s = r.snapshot();
+        assert_eq!(s.counter("collected_total"), Some(5));
+        let names: Vec<_> = s.metrics.iter().map(|m| m.name()).collect();
+        assert_eq!(
+            names,
+            ["collected_total", "interned_total"],
+            "registered once"
+        );
     }
 }

@@ -18,11 +18,13 @@ pub struct Config {
     pub ordering: OrderingMode,
     /// Whether element accesses are charged through the cluster's
     /// communication layer, identically across all array variants. A
-    /// local access costs two relaxed counter updates (the padded
-    /// per-locale counter and the `OBS_LOCAL` registry counter); a remote
-    /// one costs at least four (per-locale op and byte counters plus
-    /// their registry mirrors), a fault-plan check, and a transmission
-    /// through the transport backend.
+    /// local access costs one relaxed fetch-add on the initiating
+    /// locale's padded counter line. A remote one costs two there (op and
+    /// bytes) and two on its link's padded line (messages and bytes),
+    /// plus a fault-plan flag check and the transport call. No access
+    /// touches a process-wide line: the registry's `rcuarray_comm_*` and
+    /// `rcuarray_transport_*` totals are read from these counters at
+    /// snapshot time.
     /// Disable it only for microbenchmarks that isolate the reclamation
     /// protocol itself.
     pub account_comm: bool,

@@ -27,32 +27,19 @@
 use crate::fault::{CommError, FaultPlan, OpKind};
 use crate::locale::LocaleId;
 use crate::transport::{
-    CommMessage, MeshConfig, MeshTransport, ShmemTransport, Transport, TransportKind,
+    CommMessage, LinkMatrix, LinkStats, MeshConfig, MeshTransport, ShmemTransport, Transport,
+    TransportKind,
 };
+use parking_lot::Mutex;
 use rcuarray_obs::LazyCounter;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
-// Telemetry (DESIGN.md §7): cluster-wide totals across every locale and
-// every `CommLayer` in the process. The per-locale padded counters below
-// remain the source of truth for `stats_for`/locality assertions; these
-// registry handles unify the same events onto the shared metrics facade.
-static OBS_GETS: LazyCounter =
-    LazyCounter::new("rcuarray_comm_gets_total", "remote GET operations");
-static OBS_PUTS: LazyCounter =
-    LazyCounter::new("rcuarray_comm_puts_total", "remote PUT operations");
-static OBS_ONS: LazyCounter = LazyCounter::new(
-    "rcuarray_comm_remote_execs_total",
-    "remote on-block executions",
-);
-static OBS_LOCAL: LazyCounter = LazyCounter::new(
-    "rcuarray_comm_local_ops_total",
-    "accesses that stayed on their home locale",
-);
-static OBS_BYTES: LazyCounter = LazyCounter::new(
-    "rcuarray_comm_bytes_total",
-    "bytes moved by remote GET/PUT operations",
-);
+// Telemetry (DESIGN.md §7). Completed operations and link traffic are
+// counted once, in the initiator's padded cells below; `collect` reads
+// the process-wide totals from them at snapshot time. Only the cold
+// fault-path counters are pushed to the registry as they happen.
 static OBS_RETRIES: LazyCounter = LazyCounter::new(
     "rcuarray_comm_retries_total",
     "retry attempts charged by the retry policy",
@@ -251,11 +238,110 @@ impl std::ops::Add for CommStats {
     }
 }
 
+/// Sum `read` over every locale's cells.
+fn fold_locales(cells: &[LocaleCounters], read: impl Fn(&AtomicU64) -> u64) -> CommStats {
+    cells
+        .iter()
+        .map(|c| CommStats {
+            gets: read(&c.gets),
+            puts: read(&c.puts),
+            remote_executes: read(&c.remote_executes),
+            local_accesses: read(&c.local_accesses),
+            bytes_moved: read(&c.bytes_moved),
+        })
+        .fold(CommStats::default(), |a, b| a + b)
+}
+
+/// One live layer's counter blocks, as the collector sees them.
+type LiveLayer = (Weak<[LocaleCounters]>, Weak<LinkMatrix>);
+
+/// Process-wide comm/transport totals: every live layer's blocks plus
+/// the counts of layers that were dropped or reset. A layer folds its
+/// counts into `retired` under the same lock [`collect`] takes, so no
+/// reported total ever goes backwards.
+#[derive(Default)]
+struct Totals {
+    live: Vec<LiveLayer>,
+    retired: (CommStats, LinkStats),
+}
+
+impl Totals {
+    fn retire(&mut self, comm: CommStats, links: LinkStats) {
+        self.retired = (self.retired.0 + comm, self.retired.1 + links);
+    }
+}
+
+fn totals() -> &'static Mutex<Totals> {
+    static TOTALS: std::sync::LazyLock<Mutex<Totals>> = std::sync::LazyLock::new(Default::default);
+    &TOTALS
+}
+
+/// The [`rcuarray_obs::Collector`] for the five `rcuarray_comm_*` and
+/// two `rcuarray_transport_*` totals.
+fn collect(emit: &mut dyn FnMut(&'static str, &'static str, u64)) {
+    let (comm, links) = {
+        let t = totals().lock();
+        t.live
+            .iter()
+            .filter_map(|(cells, links)| {
+                let comm = fold_locales(&cells.upgrade()?, |a| a.load(Ordering::Relaxed));
+                Some((comm, links.upgrade()?.total()))
+            })
+            .fold(t.retired, |(c, l), (dc, dl)| (c + dc, l + dl))
+    };
+    emit(
+        "rcuarray_comm_gets_total",
+        "remote GET operations",
+        comm.gets,
+    );
+    emit(
+        "rcuarray_comm_puts_total",
+        "remote PUT operations",
+        comm.puts,
+    );
+    emit(
+        "rcuarray_comm_remote_execs_total",
+        "remote on-block executions",
+        comm.remote_executes,
+    );
+    emit(
+        "rcuarray_comm_local_ops_total",
+        "accesses that stayed on their home locale",
+        comm.local_accesses,
+    );
+    emit(
+        "rcuarray_comm_bytes_total",
+        "bytes moved by remote GET/PUT operations",
+        comm.bytes_moved,
+    );
+    emit(
+        "rcuarray_transport_messages_total",
+        "messages transmitted across locale links",
+        links.messages,
+    );
+    emit(
+        "rcuarray_transport_bytes_total",
+        "payload bytes transmitted across locale links",
+        links.bytes,
+    );
+}
+
+/// The number of layers the collector currently reads (tests: the list
+/// must not grow with the number of layers ever built).
+pub fn live_layers() -> usize {
+    totals().lock().live.len()
+}
+
 /// The cluster's communication fabric: fault plan + accounting + latency
 /// in front of a pluggable [`Transport`] backend.
+///
+/// Its counters feed the process-wide `rcuarray_comm_*` and
+/// `rcuarray_transport_*` totals (DESIGN.md §7), read at snapshot time;
+/// dropping or [resetting](Self::reset) a layer keeps its counts in them.
 #[derive(Debug)]
 pub struct CommLayer {
-    per_locale: Box<[LocaleCounters]>,
+    per_locale: Arc<[LocaleCounters]>,
+    links: Arc<LinkMatrix>,
     fault_counters: Box<[FaultCounters]>,
     latency: LatencyModel,
     fault: FaultPlan,
@@ -282,20 +368,29 @@ impl CommLayer {
         kind: TransportKind,
         mesh: MeshConfig,
     ) -> Self {
+        let links = Arc::new(LinkMatrix::new(num_locales));
         let transport: Box<dyn Transport> = match kind {
-            TransportKind::Shmem => Box::new(ShmemTransport::new(num_locales)),
+            TransportKind::Shmem => Box::new(ShmemTransport::with_links(Arc::clone(&links))),
             // The mesh learns which links reorder at construction: the
             // rules shape dispatcher behaviour, not per-send checks.
-            TransportKind::Mesh => Box::new(MeshTransport::new(
-                num_locales,
+            TransportKind::Mesh => Box::new(MeshTransport::with_links(
+                Arc::clone(&links),
                 mesh,
                 &fault.reorder_links(),
             )),
         };
+        let per_locale: Arc<[LocaleCounters]> = (0..num_locales)
+            .map(|_| LocaleCounters::default())
+            .collect();
+        static COLLECTOR: std::sync::Once = std::sync::Once::new();
+        COLLECTOR.call_once(|| rcuarray_obs::registry().register_collector(collect));
+        totals()
+            .lock()
+            .live
+            .push((Arc::downgrade(&per_locale), Arc::downgrade(&links)));
         CommLayer {
-            per_locale: (0..num_locales)
-                .map(|_| LocaleCounters::default())
-                .collect(),
+            per_locale,
+            links,
             fault_counters: (0..num_locales).map(|_| FaultCounters::default()).collect(),
             latency,
             fault,
@@ -392,18 +487,13 @@ impl CommLayer {
             OpKind::Get => {
                 c.gets.fetch_add(1, Ordering::Relaxed);
                 c.bytes_moved.fetch_add(bytes as u64, Ordering::Relaxed);
-                OBS_GETS.inc();
-                OBS_BYTES.add(bytes as u64);
             }
             OpKind::Put => {
                 c.puts.fetch_add(1, Ordering::Relaxed);
                 c.bytes_moved.fetch_add(bytes as u64, Ordering::Relaxed);
-                OBS_PUTS.inc();
-                OBS_BYTES.add(bytes as u64);
             }
             OpKind::RemoteExec => {
                 c.remote_executes.fetch_add(1, Ordering::Relaxed);
-                OBS_ONS.inc();
             }
         }
         // An active message (bytes = 0) still costs roughly one small
@@ -455,26 +545,17 @@ impl CommLayer {
         self.per_locale[locale.index()]
             .local_accesses
             .fetch_add(1, Ordering::Relaxed);
-        OBS_LOCAL.inc();
     }
 
     /// Snapshot of one locale's counters.
     pub fn stats_for(&self, locale: LocaleId) -> CommStats {
-        let c = &self.per_locale[locale.index()];
-        CommStats {
-            gets: c.gets.load(Ordering::Relaxed),
-            puts: c.puts.load(Ordering::Relaxed),
-            remote_executes: c.remote_executes.load(Ordering::Relaxed),
-            local_accesses: c.local_accesses.load(Ordering::Relaxed),
-            bytes_moved: c.bytes_moved.load(Ordering::Relaxed),
-        }
+        let i = locale.index();
+        fold_locales(&self.per_locale[i..=i], |a| a.load(Ordering::Relaxed))
     }
 
     /// Snapshot summed over all locales.
     pub fn total(&self) -> CommStats {
-        (0..self.per_locale.len())
-            .map(|i| self.stats_for(LocaleId::new(i as u32)))
-            .fold(CommStats::default(), |a, b| a + b)
+        fold_locales(&self.per_locale, |a| a.load(Ordering::Relaxed))
     }
 
     /// Snapshot of one locale's fault accounting.
@@ -498,15 +579,16 @@ impl CommLayer {
             .fold(FaultStats::default(), |a, b| a + b)
     }
 
-    /// Reset every counter to zero (between benchmark phases).
+    /// Reset every counter to zero (between benchmark phases): the
+    /// per-locale comm and fault counters and the transport's per-link
+    /// totals. The process-wide totals keep what was reset.
     pub fn reset(&self) {
-        for c in self.per_locale.iter() {
-            c.gets.store(0, Ordering::Relaxed);
-            c.puts.store(0, Ordering::Relaxed);
-            c.remote_executes.store(0, Ordering::Relaxed);
-            c.local_accesses.store(0, Ordering::Relaxed);
-            c.bytes_moved.store(0, Ordering::Relaxed);
-        }
+        // Swapped under the collector's lock: each count lands in the
+        // retired totals or stays live, never in both or neither.
+        totals().lock().retire(
+            fold_locales(&self.per_locale, |a| a.swap(0, Ordering::Relaxed)),
+            self.links.drain(),
+        );
         for c in self.fault_counters.iter() {
             c.gets_attempted.store(0, Ordering::Relaxed);
             c.puts_attempted.store(0, Ordering::Relaxed);
@@ -516,6 +598,19 @@ impl CommLayer {
             c.ons_failed.store(0, Ordering::Relaxed);
             c.retries.store(0, Ordering::Relaxed);
         }
+    }
+}
+
+impl Drop for CommLayer {
+    /// Fold this layer's counts into the retired totals and leave the
+    /// live list in one critical section, so a snapshot sees them
+    /// exactly once.
+    fn drop(&mut self) {
+        let mut t = totals().lock();
+        t.retire(self.total(), self.links.total());
+        let mine = Arc::as_ptr(&self.per_locale);
+        t.live
+            .retain(|(cells, _)| !std::ptr::addr_eq(cells.as_ptr(), mine));
     }
 }
 
@@ -578,6 +673,28 @@ mod tests {
         c.record_local(LocaleId::new(1));
         c.reset();
         assert_eq!(c.total(), CommStats::default());
+    }
+
+    #[test]
+    fn reset_clears_the_link_matrix_on_both_backends() {
+        for kind in [TransportKind::Shmem, TransportKind::Mesh] {
+            let c = CommLayer::with_transport(
+                2,
+                LatencyModel::None,
+                FaultPlan::disabled(),
+                kind,
+                MeshConfig::default(),
+            );
+            let (a, b) = (LocaleId::new(0), LocaleId::new(1));
+            c.record_get(a, b, 8).unwrap();
+            assert_eq!(c.transport().link_stats(a, b).messages, 1, "{kind}");
+            c.reset();
+            assert_eq!(
+                c.transport().link_stats(a, b),
+                LinkStats::default(),
+                "{kind}"
+            );
+        }
     }
 
     #[test]

@@ -136,7 +136,7 @@ struct InboxState {
 struct Shared {
     n: usize,
     inboxes: Box<[Inbox]>,
-    links: LinkMatrix,
+    links: Arc<LinkMatrix>,
     log: DeliveryLog,
     /// Directed links whose observed delivery order is perturbed
     /// (adjacent pairs swap), from the fault plan's `reorder_link`
@@ -156,6 +156,16 @@ impl MeshTransport {
     /// directed links whose delivery order should be perturbed
     /// (normally collected from the fault plan's `reorder_link` rules).
     pub fn new(n: usize, cfg: MeshConfig, reorder_links: &[(LocaleId, LocaleId)]) -> Self {
+        Self::with_links(Arc::new(LinkMatrix::new(n)), cfg, reorder_links)
+    }
+
+    /// A mesh metering into `links` (which fixes the locale count).
+    pub(crate) fn with_links(
+        links: Arc<LinkMatrix>,
+        cfg: MeshConfig,
+        reorder_links: &[(LocaleId, LocaleId)],
+    ) -> Self {
+        let n = links.locales();
         assert!(
             cfg.queue_capacity >= 1,
             "a link needs capacity for one frame"
@@ -179,7 +189,7 @@ impl MeshTransport {
         let shared = Arc::new(Shared {
             n,
             inboxes,
-            links: LinkMatrix::new(n),
+            links,
             log: DeliveryLog::new(n),
             reorder,
         });

@@ -42,20 +42,7 @@ pub use shmem::ShmemTransport;
 use crate::fault::OpKind;
 use crate::locale::LocaleId;
 use parking_lot::Mutex;
-use rcuarray_obs::LazyCounter;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-// Telemetry (DESIGN.md §7): process-wide transport totals. Per-link
-// splits stay on the transport object ([`Transport::link_stats`]) —
-// the registry holds scalars, not matrices.
-static OBS_MESSAGES: LazyCounter = LazyCounter::new(
-    "rcuarray_transport_messages_total",
-    "messages transmitted across locale links",
-);
-static OBS_LINK_BYTES: LazyCounter = LazyCounter::new(
-    "rcuarray_transport_bytes_total",
-    "payload bytes transmitted across locale links",
-);
 
 /// The size on the wire of one lock word (the paper's `WriteLock` state).
 pub const LOCK_WORD_BYTES: usize = 8;
@@ -251,6 +238,16 @@ pub struct LinkStats {
     pub bytes: u64,
 }
 
+impl std::ops::Add for LinkStats {
+    type Output = LinkStats;
+    fn add(self, rhs: LinkStats) -> LinkStats {
+        LinkStats {
+            messages: self.messages + rhs.messages,
+            bytes: self.bytes + rhs.bytes,
+        }
+    }
+}
+
 /// One cross-locale conduit: moves typed messages over directed
 /// `(from, to)` links.
 ///
@@ -290,7 +287,9 @@ pub trait Transport: Send + Sync + std::fmt::Debug {
 
 /// Per-directed-link message/byte counters, cache-line padded like the
 /// per-locale comm counters (the instrumentation must not become the
-/// contended line). Shared by both backends.
+/// contended line). Shared by both backends; a cluster's
+/// [`CommLayer`](crate::comm::CommLayer) lends its matrix to the
+/// transport so it can reset it and report its totals.
 #[derive(Debug)]
 pub(crate) struct LinkMatrix {
     n: usize,
@@ -312,20 +311,22 @@ impl LinkMatrix {
         }
     }
 
+    /// The number of locales the matrix spans.
+    pub(crate) fn locales(&self) -> usize {
+        self.n
+    }
+
     #[inline]
     fn cell(&self, from: LocaleId, to: LocaleId) -> &LinkCell {
         &self.cells[from.index() * self.n + to.index()]
     }
 
-    /// Charge one message of `bytes` payload to the `from → to` link
-    /// (and mirror it onto the process-wide obs totals).
+    /// Charge one message of `bytes` payload to the `from → to` link.
     #[inline]
     pub(crate) fn record(&self, from: LocaleId, to: LocaleId, bytes: usize) {
         let c = self.cell(from, to);
         c.messages.fetch_add(1, Ordering::Relaxed);
         c.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-        OBS_MESSAGES.inc();
-        OBS_LINK_BYTES.add(bytes as u64);
     }
 
     pub(crate) fn stats(&self, from: LocaleId, to: LocaleId) -> LinkStats {
@@ -334,6 +335,28 @@ impl LinkMatrix {
             messages: c.messages.load(Ordering::Relaxed),
             bytes: c.bytes.load(Ordering::Relaxed),
         }
+    }
+
+    /// Totals over every link.
+    pub(crate) fn total(&self) -> LinkStats {
+        self.fold(|a| a.load(Ordering::Relaxed))
+    }
+
+    /// Zero every link, returning what it held. Each cell is swapped, so
+    /// a concurrent `record` lands either in the result or in the
+    /// cleared cell, never in neither.
+    pub(crate) fn drain(&self) -> LinkStats {
+        self.fold(|a| a.swap(0, Ordering::Relaxed))
+    }
+
+    fn fold(&self, read: impl Fn(&AtomicU64) -> u64) -> LinkStats {
+        self.cells
+            .iter()
+            .map(|c| LinkStats {
+                messages: read(&c.messages),
+                bytes: read(&c.bytes),
+            })
+            .fold(LinkStats::default(), |a, b| a + b)
     }
 }
 
@@ -566,6 +589,14 @@ mod tests {
         assert_eq!(fwd.bytes, 128);
         let rev = m.stats(LocaleId::new(1), LocaleId::new(0));
         assert_eq!(rev, LinkStats::default(), "links are directed");
+        m.record(LocaleId::new(2), LocaleId::new(0), 4);
+        let all = LinkStats {
+            messages: 3,
+            bytes: 132,
+        };
+        assert_eq!(m.total(), all);
+        assert_eq!(m.drain(), all);
+        assert_eq!(m.total(), LinkStats::default(), "drain zeroes every link");
     }
 
     #[test]

@@ -12,20 +12,26 @@
 use super::{CommMessage, DeliveryLog, LinkMatrix, LinkStats, Transport, TransportKind};
 use crate::fault::CommError;
 use crate::locale::LocaleId;
+use std::sync::Arc;
 
 /// Direct shared-memory transport: metering only, delivery is implicit.
 #[derive(Debug)]
 pub struct ShmemTransport {
-    links: LinkMatrix,
+    links: Arc<LinkMatrix>,
     log: DeliveryLog,
 }
 
 impl ShmemTransport {
     /// A shmem transport for an `n`-locale cluster.
     pub fn new(n: usize) -> Self {
+        Self::with_links(Arc::new(LinkMatrix::new(n)))
+    }
+
+    /// A shmem transport metering into `links`.
+    pub(crate) fn with_links(links: Arc<LinkMatrix>) -> Self {
         ShmemTransport {
-            links: LinkMatrix::new(n),
-            log: DeliveryLog::new(n),
+            log: DeliveryLog::new(links.locales()),
+            links,
         }
     }
 }
