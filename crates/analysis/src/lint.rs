@@ -15,12 +15,13 @@
 //!    `rcuarray_analysis::{atomic, thread}` so the checker can see it.
 //! 4. **No new bare statistics counters in instrumented crates**: a
 //!    relaxed `fetch_add` in an [`INSTRUMENTED_CRATES`] file is an ad-hoc
-//!    metric; new ones must go through the `rcuarray-obs` facade
-//!    (`LazyCounter`/`LazyGauge`/`LazyHistogram`) so they show up in the
-//!    registry, and only the audited pre-obs sites on
-//!    [`COUNTER_ALLOWLIST`] are exempt (each mirrors its events to obs,
-//!    feeds an obs snapshot-time collector, or carries
-//!    per-object/per-locale meaning the global registry cannot).
+//!    metric unless the registry can see it. The sanctioned pattern is a
+//!    per-owner cell (a zone's, a domain's, an array's, a comm layer's)
+//!    reported through the obs source list (`rcuarray_obs::Source`,
+//!    registered once per owner and read at snapshot time), so each
+//!    event is counted once; a metric with no owner goes through the
+//!    `LazyCounter`/`LazyGauge`/`LazyHistogram` facade. Only the audited
+//!    owner-cell sites on [`COUNTER_ALLOWLIST`] are exempt.
 //! 5. **No const-bool scheme branching outside the reclaim core**: the
 //!    `IS_QSBR` flag pattern (a marker const that call sites branch on,
 //!    the literal reading of the paper's `isQSBR` parameter) may appear
@@ -144,25 +145,30 @@ pub const INSTRUMENTED_CRATES: &[&str] = &[
     "crates/service/",
 ];
 
-/// Audited pre-obs relaxed-`fetch_add` sites inside the instrumented
-/// crates. Everything else must use the obs facade for new counters.
+/// Audited relaxed-`fetch_add` sites inside the instrumented crates:
+/// per-owner cells, each either reported through the obs source list or
+/// carrying per-object meaning the registry does not need. Everything
+/// else must use the obs facade for new counters.
 pub const COUNTER_ALLOWLIST: &[&str] = &[
-    // Per-zone protocol counters, mirrored to obs in the same functions.
+    // Per-zone protocol counters backing ZoneStats; the zone's cold
+    // counters are its obs source.
     "crates/ebr/src/epoch.rs",
-    // Per-domain counters backing DomainStats; obs handles ride along.
+    // Per-domain counters backing DomainStats; the domain is its own obs
+    // source.
     "crates/qsbr/src/domain.rs",
-    // Per-array counters backing ArrayStats; obs handles ride along.
+    // Per-array counters backing ArrayStats; the array's cells are its
+    // obs source.
     "crates/rcuarray/src/array.rs",
     // Per-locale replica-lag ledger backing ArrayStats::replica_lag_bytes;
-    // the obs gauge is set from the total in the same functions.
+    // the array's obs source reads its total.
     "crates/rcuarray/src/placement.rs",
     // Per-locale comm/fault accounting (locality assertions need the
-    // per-locale split; the comm collector reads the process totals
-    // from these cells at snapshot time).
+    // per-locale split); the comm layer's obs source reads the process
+    // totals from these cells.
     "crates/runtime/src/comm.rs",
     "crates/runtime/src/fault.rs",
-    // Per-link (from, to) transmission cells; link totals collected at
-    // snapshot time.
+    // Per-link (from, to) transmission cells, read by the comm layer's
+    // obs source.
     "crates/runtime/src/transport/",
     "crates/runtime/src/locale.rs",
     "crates/runtime/src/global_lock.rs",
@@ -719,8 +725,9 @@ pub fn lint_source(path: &Path, src: &str) -> Vec<Violation> {
                 file: path.to_path_buf(),
                 line: line_no,
                 rule: Rule::BareCounterOutsideObs,
-                msg: "ad-hoc relaxed counter in an instrumented crate; use the \
-                      rcuarray-obs facade (LazyCounter/LazyGauge/LazyHistogram)"
+                msg: "ad-hoc relaxed counter in an instrumented crate; keep it in \
+                      an owner's cell reported through an rcuarray_obs::Source, or \
+                      use the obs facade (LazyCounter/LazyGauge/LazyHistogram)"
                     .into(),
             });
         }

@@ -4,33 +4,9 @@
 use crate::backoff::Backoff;
 use crate::ordering::OrderingMode;
 use rcuarray_analysis::atomic::{fence, AtomicU64, Ordering};
-use rcuarray_obs::LazyCounter;
+use rcuarray_obs::{Emit, Reading, Source, SourceHandle};
 use rcuarray_reclaim::{PressureConfig, Retired, StallPolicy};
-use std::sync::Mutex;
-
-// Registry-level telemetry (see DESIGN.md §7): process-wide totals
-// across every zone. Per-zone counts stay in [`ZoneStats`]. Successful
-// pins are deliberately *not* mirrored here — they are the per-read hot
-// path; retries and advances are the contended/cold events the paper's
-// Fig. 2 analysis needs.
-static OBS_RETRIES: LazyCounter = LazyCounter::new(
-    "rcuarray_ebr_pin_retries_total",
-    "read-increment-verify pin attempts that lost an epoch advance and retried",
-);
-static OBS_ADVANCES: LazyCounter =
-    LazyCounter::new("rcuarray_ebr_advances_total", "writer epoch advances");
-static OBS_STALLED: LazyCounter = LazyCounter::new(
-    "rcuarray_ebr_stalled_waits_total",
-    "writer drains that hit the stall bound and evacuated instead of spinning",
-);
-static OBS_EVAC_DRAINS: LazyCounter = LazyCounter::new(
-    "rcuarray_ebr_evacuations_drained_total",
-    "evacuated retirements freed after both parity counters drained",
-);
-static OBS_GUARD_PANICS: LazyCounter = LazyCounter::new(
-    "rcuarray_ebr_guard_panics_total",
-    "epoch guards released while their thread was unwinding from a panic",
-);
+use std::sync::{Arc, Mutex};
 
 /// Pad to a cache line so the two reader counters and the epoch never
 /// false-share — they are the hottest words in the whole system.
@@ -58,6 +34,55 @@ pub struct ZoneStats {
     pub evac_pending_bytes: u64,
     /// Guards released while their thread was unwinding from a panic.
     pub guard_panics: u64,
+    /// Evacuated retirements freed once both parity counters drained.
+    pub evac_drained: u64,
+}
+
+/// The zone's cold counters, reported as the `rcuarray_ebr_*` totals
+/// (DESIGN.md §7). Successful pins are deliberately not here: they are
+/// the per-read hot path and stay inline in [`EpochZone`]; these are the
+/// contended and writer-side events the paper's Fig. 2 analysis needs.
+/// Padded so a writer's advance never shares a line with a heap
+/// neighbour that readers load.
+#[repr(align(64))]
+#[derive(Debug, Default)]
+struct ZoneCounters {
+    retries: AtomicU64,
+    advances: AtomicU64,
+    stalled: AtomicU64,
+    evac_drained: AtomicU64,
+    guard_panics: AtomicU64,
+}
+
+impl Source for ZoneCounters {
+    fn report(&self, emit: Emit<'_>) {
+        let read = |a: &AtomicU64| Reading::Counter(a.load(Ordering::Relaxed));
+        emit(
+            "rcuarray_ebr_pin_retries_total",
+            "read-increment-verify pin attempts that lost an epoch advance and retried",
+            read(&self.retries),
+        );
+        emit(
+            "rcuarray_ebr_advances_total",
+            "writer epoch advances",
+            read(&self.advances),
+        );
+        emit(
+            "rcuarray_ebr_stalled_waits_total",
+            "writer drains that hit the stall bound and evacuated instead of spinning",
+            read(&self.stalled),
+        );
+        emit(
+            "rcuarray_ebr_evacuations_drained_total",
+            "evacuated retirements freed after both parity counters drained",
+            read(&self.evac_drained),
+        );
+        emit(
+            "rcuarray_ebr_guard_panics_total",
+            "epoch guards released while their thread was unwinding from a panic",
+            read(&self.guard_panics),
+        );
+    }
 }
 
 /// A retirement the writer could not free synchronously because a reader
@@ -101,8 +126,8 @@ pub struct EpochZone {
     readers: [Padded; 2],
     mode: OrderingMode,
     pins: Padded,
-    retries: Padded,
-    advances: Padded,
+    /// Cold counters, on the registry's source list.
+    counters: SourceHandle<ZoneCounters>,
     // --- robustness state (DESIGN.md §9), all cold-path ---
     /// Snooze bound for [`try_wait_for_readers`](Self::try_wait_for_readers)
     /// (`u64::MAX` = wait forever, the classic protocol).
@@ -118,8 +143,6 @@ pub struct EpochZone {
     evac_count: AtomicU64,
     evac_bytes: AtomicU64,
     retires: AtomicU64,
-    stalled: AtomicU64,
-    guard_panics: AtomicU64,
 }
 
 /// Proof that a reader is announced on a parity counter. Must be returned
@@ -167,8 +190,7 @@ impl EpochZone {
             readers: [Padded::default(), Padded::default()],
             mode,
             pins: Padded::default(),
-            retries: Padded::default(),
-            advances: Padded::default(),
+            counters: SourceHandle::new(Arc::default()),
             stall_spins: AtomicU64::new(u64::MAX),
             stall_lag: AtomicU64::new(u64::MAX),
             cap_bytes: AtomicU64::new(u64::MAX),
@@ -177,8 +199,6 @@ impl EpochZone {
             evac_count: AtomicU64::new(0),
             evac_bytes: AtomicU64::new(0),
             retires: AtomicU64::new(0),
-            stalled: AtomicU64::new(0),
-            guard_panics: AtomicU64::new(0),
         }
     }
 
@@ -285,8 +305,7 @@ impl EpochZone {
             }
             // Lost the race with a writer; undo and retry.
             self.readers[idx].0.fetch_sub(1, self.mode.rmw());
-            self.retries.0.fetch_add(1, Ordering::Relaxed);
-            OBS_RETRIES.inc();
+            self.counters.retries.fetch_add(1, Ordering::Relaxed);
             backoff.snooze();
         }
     }
@@ -310,8 +329,7 @@ impl EpochZone {
     /// the structure's write lock, per the paper's footnote 3).
     #[inline]
     pub fn advance(&self) -> u64 {
-        self.advances.0.fetch_add(1, Ordering::Relaxed);
-        OBS_ADVANCES.inc();
+        self.counters.advances.fetch_add(1, Ordering::Relaxed);
         // `fetch_add` wraps on overflow, which is exactly the behaviour
         // Lemma 2 proves safe: parity is preserved across the wrap.
         self.global_epoch.0.fetch_add(1, Ordering::SeqCst)
@@ -379,8 +397,7 @@ impl EpochZone {
         }
         // Stalled: park the retirement on the evacuation list instead of
         // spinning forever behind a dead reader.
-        self.stalled.fetch_add(1, Ordering::Relaxed);
-        OBS_STALLED.inc();
+        self.counters.stalled.fetch_add(1, Ordering::Relaxed);
         let bytes = retired.bytes() as u64;
         self.evac.lock().unwrap().push(EvacEntry {
             retired,
@@ -423,7 +440,9 @@ impl EpochZone {
         if freed > 0 {
             self.evac_count.fetch_sub(freed as u64, Ordering::Relaxed);
             self.evac_bytes.fetch_sub(freed_bytes, Ordering::Relaxed);
-            OBS_EVAC_DRAINS.add(freed as u64);
+            self.counters
+                .evac_drained
+                .fetch_add(freed as u64, Ordering::Relaxed);
         }
         freed
     }
@@ -431,20 +450,20 @@ impl EpochZone {
     /// Record a guard released during a panic unwind (called by
     /// [`crate::EpochGuard`]'s `Drop`).
     pub(crate) fn note_guard_panic(&self) {
-        self.guard_panics.fetch_add(1, Ordering::Relaxed);
-        OBS_GUARD_PANICS.inc();
+        self.counters.guard_panics.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Snapshot of the zone's instrumentation counters.
     pub fn stats(&self) -> ZoneStats {
         ZoneStats {
             pins: self.pins.0.load(Ordering::Relaxed),
-            retries: self.retries.0.load(Ordering::Relaxed),
-            advances: self.advances.0.load(Ordering::Relaxed),
-            stalled: self.stalled.load(Ordering::Relaxed),
+            retries: self.counters.retries.load(Ordering::Relaxed),
+            advances: self.counters.advances.load(Ordering::Relaxed),
+            stalled: self.counters.stalled.load(Ordering::Relaxed),
             evac_pending: self.evac_count.load(Ordering::Relaxed),
             evac_pending_bytes: self.evac_bytes.load(Ordering::Relaxed),
-            guard_panics: self.guard_panics.load(Ordering::Relaxed),
+            guard_panics: self.counters.guard_panics.load(Ordering::Relaxed),
+            evac_drained: self.counters.evac_drained.load(Ordering::Relaxed),
         }
     }
 
@@ -458,7 +477,6 @@ impl EpochZone {
 mod tests {
     use super::*;
     use rcuarray_analysis::atomic::AtomicBool;
-    use std::sync::Arc;
 
     #[test]
     fn pin_records_on_epoch_parity() {

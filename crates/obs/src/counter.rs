@@ -2,8 +2,8 @@
 //! declarable lazy handle.
 
 use crate::pad::{shard_index, Padded};
+use crate::registry::{entry, Lazy};
 use rcuarray_analysis::atomic::Ordering;
-use std::sync::OnceLock;
 
 /// Number of cache-line-padded shards per counter (power of two). Eight
 /// lines bound the footprint at 512 B per counter while spreading
@@ -45,51 +45,24 @@ impl Counter {
     }
 }
 
-/// A statically declarable counter handle.
+/// A statically declarable counter handle; see [`Lazy`] for the
+/// interning/disable contract.
 ///
 /// ```
 /// static RESIZES: rcuarray_obs::LazyCounter =
 ///     rcuarray_obs::LazyCounter::new("rcuarray_resizes_total", "completed resizes");
 /// RESIZES.add(1);
 /// ```
-///
-/// The first touch interns the metric in the global registry (deduped by
-/// name); when telemetry is [disabled](crate::disable) every call is a
-/// single `Relaxed` load and an early return.
-pub struct LazyCounter {
-    name: &'static str,
-    help: &'static str,
-    slot: OnceLock<&'static crate::registry::CounterEntry>,
-}
+pub type LazyCounter = Lazy<Counter>;
 
 impl LazyCounter {
-    /// Declare a counter. `name` should follow Prometheus conventions
-    /// (`snake_case`, `_total` suffix).
-    pub const fn new(name: &'static str, help: &'static str) -> Self {
-        LazyCounter {
-            name,
-            help,
-            slot: OnceLock::new(),
-        }
-    }
-
-    /// This handle's metric name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn entry(&self) -> &'static crate::registry::CounterEntry {
-        self.slot
-            .get_or_init(|| crate::registry().intern_counter(self.name, self.help))
-    }
-
     /// Add `n` (no-op when telemetry is disabled).
     #[inline]
     pub fn add(&self, n: u64) {
         if !crate::enabled() {
             return;
         }
-        self.entry().core.add(n);
+        entry(self).core.add(n);
     }
 
     /// Increment by one (no-op when telemetry is disabled).
@@ -100,7 +73,7 @@ impl LazyCounter {
 
     /// Current total.
     pub fn value(&self) -> u64 {
-        self.entry().core.value()
+        entry(self).core.value()
     }
 }
 

@@ -147,9 +147,11 @@ mod tests {
 
     fn sample() -> Snapshot {
         let r = Registry::new();
-        r.intern_counter("ops_total", "operations").core.add(5);
-        r.intern_gauge("lag", "epoch lag").core.set(-3);
-        let h = r.intern_histogram("lat_ns", "latency");
+        r.intern::<crate::Counter>("ops_total", "operations")
+            .core
+            .add(5);
+        r.intern::<crate::Gauge>("lag", "epoch lag").core.set(-3);
+        let h = r.intern::<crate::Histogram>("lat_ns", "latency");
         h.core.record(7);
         h.core.record(90);
         r.snapshot()

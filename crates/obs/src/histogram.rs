@@ -7,8 +7,8 @@
 //! Recording is one shard-free atomic increment — histograms count rare
 //! events (checkpoint latencies, resize durations), not per-read ops.
 
+use crate::registry::{entry, Lazy};
 use rcuarray_analysis::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 
 /// Sub-bucket resolution bits: each power of two splits into
 /// `2^SUB_BITS` linear sub-buckets.
@@ -191,47 +191,23 @@ impl HistogramSnapshot {
     }
 }
 
-/// A statically declarable histogram handle; see
-/// [`LazyCounter`](crate::LazyCounter) for the interning/disable
-/// contract.
-pub struct LazyHistogram {
-    name: &'static str,
-    help: &'static str,
-    slot: OnceLock<&'static crate::registry::HistogramEntry>,
-}
+/// A statically declarable histogram handle; see [`Lazy`] for the
+/// interning/disable contract.
+pub type LazyHistogram = Lazy<Histogram>;
 
 impl LazyHistogram {
-    /// Declare a histogram.
-    pub const fn new(name: &'static str, help: &'static str) -> Self {
-        LazyHistogram {
-            name,
-            help,
-            slot: OnceLock::new(),
-        }
-    }
-
-    /// This handle's metric name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn entry(&self) -> &'static crate::registry::HistogramEntry {
-        self.slot
-            .get_or_init(|| crate::registry().intern_histogram(self.name, self.help))
-    }
-
     /// Record a value (no-op when telemetry is disabled).
     #[inline]
     pub fn record(&self, v: u64) {
         if !crate::enabled() {
             return;
         }
-        self.entry().core.record(v);
+        entry(self).core.record(v);
     }
 
     /// Point-in-time snapshot.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        self.entry().core.snapshot()
+        entry(self).core.snapshot()
     }
 }
 

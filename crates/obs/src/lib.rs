@@ -19,10 +19,12 @@
 //!   cache-line-padded shards picked from a stack-slot address (a
 //!   TLS-free pick, like the EBR zone's), so hot counters do not
 //!   serialize writers on one line.
-//! * **Snapshot-time collectors.** A subsystem that already tallies an
-//!   event in counters of its own registers a [`Collector`]; snapshots
-//!   read its totals, so the event is counted once and its path touches
-//!   no registry line.
+//! * **Snapshot-time sources.** An owner that already tallies an event
+//!   in cells of its own (a zone, a domain, an array, a comm layer)
+//!   registers that block as a [`Source`] and holds the
+//!   [`SourceHandle`]; snapshots read the live blocks, and a dropped
+//!   handle folds its counts into retired totals. The event is counted
+//!   once and its path touches no registry line.
 //! * **Log-bucketed histograms.** [`Histogram`] is HDR-style: 4
 //!   sub-buckets per power of two over the full `u64` range, constant
 //!   memory, one atomic increment per record.
@@ -52,6 +54,7 @@ mod histogram;
 mod pad;
 mod registry;
 mod ring;
+mod source;
 
 pub use counter::{Counter, LazyCounter, SHARDS};
 pub use gauge::{Gauge, LazyGauge};
@@ -59,8 +62,9 @@ pub use histogram::{
     bucket_index, bucket_lo, Histogram, HistogramSnapshot, LazyHistogram, NUM_BUCKETS, SUBS,
     SUB_BITS,
 };
-pub use registry::{registry, Collector, MetricValue, Registry, Snapshot};
+pub use registry::{registry, Entry, Lazy, MetricValue, Registry, Snapshot};
 pub use ring::{span, trace_events, Event, Span, RING_CAPACITY};
+pub use source::{live_sources, Emit, Reading, Source, SourceHandle};
 
 /// Global on/off switch. Telemetry is on by default ("always-on"); the
 /// disabled path of every handle is this one `Relaxed` load.
@@ -128,7 +132,7 @@ mod tests {
         let _flag = testutil::FLAG.read();
         enable();
         C.add(3);
-        G.set(-7);
+        G.add(-7);
         H.record(100);
         let s = snapshot();
         assert!(s

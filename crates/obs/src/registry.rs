@@ -3,60 +3,89 @@
 //!
 //! Registration is rare (once per metric per process) and goes through a
 //! mutex; the hot path never touches the registry — handles cache an
-//! interned `&'static` entry in a `OnceLock`. Counters whose events are
-//! already tallied elsewhere register a [`Collector`] instead: the
-//! registry asks it for its totals at snapshot time, so the event path
-//! touches no registry line at all.
+//! interned `&'static` entry in a `OnceLock`. Events an owner already
+//! tallies in cells of its own are reported through the source list
+//! instead ([`crate::Source`]): the registry reads those cells at
+//! snapshot time, so the event path touches no registry line at all.
 
 use crate::counter::Counter;
 use crate::gauge::Gauge;
 use crate::histogram::{Histogram, HistogramSnapshot};
 use crate::ring::Event;
+use crate::source::{Reading, Sources};
 use rcuarray_analysis::sync::Mutex;
 use std::sync::OnceLock;
 
-/// An interned counter: name, help text and the sharded core.
-pub struct CounterEntry {
+/// An interned metric: name, help text and its core.
+pub struct Entry<T> {
     /// Metric name (Prometheus conventions).
     pub name: &'static str,
     /// One-line help text.
     pub help: &'static str,
-    /// The sharded counter core.
-    pub core: Counter,
+    /// The metric's core.
+    pub core: T,
 }
 
-/// An interned gauge.
-pub struct GaugeEntry {
-    /// Metric name.
-    pub name: &'static str,
-    /// One-line help text.
-    pub help: &'static str,
-    /// The gauge core.
-    pub core: Gauge,
+/// A statically declarable metric handle over a core `T`
+/// ([`LazyCounter`](crate::LazyCounter), [`LazyGauge`](crate::LazyGauge),
+/// [`LazyHistogram`](crate::LazyHistogram)).
+///
+/// The first touch interns the metric in the global registry (deduped by
+/// name); later touches are a pointer chase. When telemetry is
+/// [disabled](crate::disable) every recording call is a single `Relaxed`
+/// load and an early return.
+pub struct Lazy<T: 'static> {
+    name: &'static str,
+    help: &'static str,
+    slot: OnceLock<&'static Entry<T>>,
 }
 
-/// An interned histogram.
-pub struct HistogramEntry {
-    /// Metric name.
-    pub name: &'static str,
-    /// One-line help text.
-    pub help: &'static str,
-    /// The histogram core.
-    pub core: Histogram,
+impl<T> Lazy<T> {
+    /// Declare a metric. `name` should follow Prometheus conventions
+    /// (`snake_case`, a `_total` suffix for counters).
+    pub const fn new(name: &'static str, help: &'static str) -> Self {
+        Lazy {
+            name,
+            help,
+            slot: OnceLock::new(),
+        }
+    }
 }
 
-/// A snapshot-time counter source: called once per
-/// [`snapshot`](Registry::snapshot), it reports each of its counters as
-/// `emit(name, help, value)`. Values must be monotonic across calls, and
-/// names distinct from every other metric's.
-pub type Collector = fn(&mut dyn FnMut(&'static str, &'static str, u64));
+/// The entry a lazy handle stands for, interned on first use.
+pub(crate) fn entry<T: Interned>(lazy: &Lazy<T>) -> &'static Entry<T> {
+    lazy.slot
+        .get_or_init(|| crate::registry().intern(lazy.name, lazy.help))
+}
+
+/// A metric core the registry interns, and the list that holds it.
+pub(crate) trait Interned: Default + Sized + 'static {
+    fn list(inner: &mut Inner) -> &mut Vec<&'static Entry<Self>>;
+}
+
+impl Interned for Counter {
+    fn list(inner: &mut Inner) -> &mut Vec<&'static Entry<Self>> {
+        &mut inner.counters
+    }
+}
+
+impl Interned for Gauge {
+    fn list(inner: &mut Inner) -> &mut Vec<&'static Entry<Self>> {
+        &mut inner.gauges
+    }
+}
+
+impl Interned for Histogram {
+    fn list(inner: &mut Inner) -> &mut Vec<&'static Entry<Self>> {
+        &mut inner.histograms
+    }
+}
 
 #[derive(Default)]
-struct Inner {
-    counters: Vec<&'static CounterEntry>,
-    gauges: Vec<&'static GaugeEntry>,
-    histograms: Vec<&'static HistogramEntry>,
-    collectors: Vec<Collector>,
+pub(crate) struct Inner {
+    counters: Vec<&'static Entry<Counter>>,
+    gauges: Vec<&'static Entry<Gauge>>,
+    histograms: Vec<&'static Entry<Histogram>>,
 }
 
 /// The metric registry. One global instance lives behind
@@ -66,6 +95,10 @@ struct Inner {
 #[derive(Default)]
 pub struct Registry {
     inner: Mutex<Inner>,
+    /// The snapshot-time source list. A plain lock, not the facade's:
+    /// owners register and leave inside checker sessions, and neither
+    /// does anything under it that the checker schedules.
+    pub(crate) sources: parking_lot::Mutex<Sources>,
 }
 
 impl Registry {
@@ -74,75 +107,32 @@ impl Registry {
         Registry::default()
     }
 
-    /// Intern a counter by name (first declaration wins; later handles
+    /// Intern a metric by name (first declaration wins; later handles
     /// with the same name share the metric).
-    pub fn intern_counter(&self, name: &'static str, help: &'static str) -> &'static CounterEntry {
-        let mut inner = self.inner.lock();
-        if let Some(e) = inner.counters.iter().find(|e| e.name == name) {
-            return e;
-        }
-        let entry: &'static CounterEntry = Box::leak(Box::new(CounterEntry {
-            name,
-            help,
-            core: Counter::new(),
-        }));
-        inner.counters.push(entry);
-        entry
-    }
-
-    /// Intern a gauge by name.
-    pub fn intern_gauge(&self, name: &'static str, help: &'static str) -> &'static GaugeEntry {
-        let mut inner = self.inner.lock();
-        if let Some(e) = inner.gauges.iter().find(|e| e.name == name) {
-            return e;
-        }
-        let entry: &'static GaugeEntry = Box::leak(Box::new(GaugeEntry {
-            name,
-            help,
-            core: Gauge::new(),
-        }));
-        inner.gauges.push(entry);
-        entry
-    }
-
-    /// Intern a histogram by name.
-    pub fn intern_histogram(
+    pub(crate) fn intern<T: Interned>(
         &self,
         name: &'static str,
         help: &'static str,
-    ) -> &'static HistogramEntry {
+    ) -> &'static Entry<T> {
         let mut inner = self.inner.lock();
-        if let Some(e) = inner.histograms.iter().find(|e| e.name == name) {
+        let list = T::list(&mut inner);
+        if let Some(e) = list.iter().find(|e| e.name == name) {
             return e;
         }
-        let entry: &'static HistogramEntry = Box::leak(Box::new(HistogramEntry {
+        let entry: &'static Entry<T> = Box::leak(Box::new(Entry {
             name,
             help,
-            core: Histogram::new(),
+            core: T::default(),
         }));
-        inner.histograms.push(entry);
+        list.push(entry);
         entry
     }
 
-    /// Register a snapshot-time counter source (deduplicated by function
-    /// pointer, so registering on every construction of a type is fine).
-    /// Its counters are reported whether or not telemetry is
-    /// [enabled](crate::enabled): the collector reads counts its owner
-    /// keeps anyway.
-    pub fn register_collector(&self, collector: Collector) {
-        let mut inner = self.inner.lock();
-        if !inner
-            .collectors
-            .iter()
-            .any(|&c| std::ptr::fn_addr_eq(c, collector))
-        {
-            inner.collectors.push(collector);
-        }
-    }
-
     /// Snapshot every registered metric, sorted by name, plus the
-    /// current tracing-ring contents. Collector counters are reported as
-    /// ordinary counters.
+    /// current tracing-ring contents. Source metrics are reported as
+    /// ordinary counters and gauges, whether or not telemetry is
+    /// [enabled](crate::enabled): they read cells their owners keep
+    /// anyway.
     pub fn snapshot(&self) -> Snapshot {
         let inner = self.inner.lock();
         let mut metrics =
@@ -168,13 +158,15 @@ impl Registry {
                 value: e.core.snapshot(),
             });
         }
-        let collectors = inner.collectors.clone();
-        // Collectors take their owners' locks: call them with the
-        // registry unlocked.
+        // Sources take their owners' locks: read them with the interned
+        // metrics unlocked.
         drop(inner);
-        for collect in collectors {
-            collect(&mut |name, help, value| {
-                metrics.push(MetricValue::Counter { name, help, value })
+        for (name, (help, r)) in self.sources.lock().collect() {
+            metrics.push(match r {
+                Reading::Counter(value) => MetricValue::Counter { name, help, value },
+                Reading::Gauge(value) | Reading::MaxGauge(value) => {
+                    MetricValue::Gauge { name, help, value }
+                }
             });
         }
         metrics.sort_by_key(|m| m.name());
@@ -276,8 +268,8 @@ mod tests {
     #[test]
     fn intern_dedupes_by_name() {
         let r = Registry::new();
-        let a = r.intern_counter("x_total", "x");
-        let b = r.intern_counter("x_total", "other help ignored");
+        let a = r.intern::<Counter>("x_total", "x");
+        let b = r.intern::<Counter>("x_total", "other help ignored");
         assert!(std::ptr::eq(a, b));
         a.core.add(1);
         assert_eq!(b.core.value(), 1);
@@ -286,8 +278,8 @@ mod tests {
     #[test]
     fn snapshot_is_sorted_and_queryable() {
         let r = Registry::new();
-        r.intern_counter("z_total", "z").core.add(9);
-        r.intern_gauge("a_gauge", "a").core.set(-2);
+        r.intern::<Counter>("z_total", "z").core.add(9);
+        r.intern::<Gauge>("a_gauge", "a").core.set(-2);
         let s = r.snapshot();
         let names: Vec<_> = s.metrics.iter().map(|m| m.name()).collect();
         let mut sorted = names.clone();
@@ -296,24 +288,5 @@ mod tests {
         assert_eq!(s.counter("z_total"), Some(9));
         assert_eq!(s.gauge("a_gauge"), Some(-2));
         assert_eq!(s.counter("missing"), None);
-    }
-
-    #[test]
-    fn collectors_report_at_snapshot_time_and_dedupe() {
-        fn source(emit: &mut dyn FnMut(&'static str, &'static str, u64)) {
-            emit("collected_total", "c", 5);
-        }
-        let r = Registry::new();
-        r.intern_counter("interned_total", "i").core.add(1);
-        r.register_collector(source);
-        r.register_collector(source);
-        let s = r.snapshot();
-        assert_eq!(s.counter("collected_total"), Some(5));
-        let names: Vec<_> = s.metrics.iter().map(|m| m.name()).collect();
-        assert_eq!(
-            names,
-            ["collected_total", "interned_total"],
-            "registered once"
-        );
     }
 }

@@ -13,7 +13,7 @@ use crate::record::ThreadRecord;
 use crate::registry::Registry;
 use crate::state::StateEpoch;
 use rcuarray_analysis::atomic::{AtomicU64, Ordering};
-use rcuarray_obs::{LazyCounter, LazyGauge, LazyHistogram};
+use rcuarray_obs::{Emit, LazyHistogram, Reading, Source, SourceHandle};
 use rcuarray_reclaim::{PressureConfig, StallPolicy};
 use std::cell::RefCell;
 use std::sync::{Arc, Weak};
@@ -21,47 +21,12 @@ use std::sync::{Arc, Weak};
 /// Monotonic domain-id source, used as the TLS lookup key.
 static NEXT_DOMAIN_ID: AtomicU64 = AtomicU64::new(1);
 
-// Registry-level telemetry (see DESIGN.md §7). Backlog and lag gauges
-// are set by the most recently *reclaiming* checkpoint: the fast path
-// (nothing pending) must stay at one load + one store + two checks.
-static OBS_DEFERS: LazyCounter = LazyCounter::new("rcuarray_qsbr_defers_total", "QSBR_Defer calls");
-static OBS_CHECKPOINTS: LazyCounter =
-    LazyCounter::new("rcuarray_qsbr_checkpoints_total", "QSBR_Checkpoint calls");
-static OBS_RECLAIMED: LazyCounter = LazyCounter::new(
-    "rcuarray_qsbr_reclaimed_total",
-    "deferred reclamations executed",
-);
-static OBS_RECLAIMED_BYTES: LazyCounter = LazyCounter::new(
-    "rcuarray_qsbr_reclaimed_bytes_total",
-    "approximate bytes reclaimed at checkpoints",
-);
+// The one registry-side QSBR metric: a latency distribution has no
+// per-domain twin. Every count and level is read from the domain's own
+// cells at snapshot time (`impl Source for DomainInner`).
 static OBS_CHECKPOINT_NS: LazyHistogram = LazyHistogram::new(
     "rcuarray_qsbr_checkpoint_ns",
     "latency of reclaiming (slow-path) checkpoints, ns",
-);
-static OBS_EPOCH_LAG: LazyGauge = LazyGauge::new(
-    "rcuarray_qsbr_epoch_lag",
-    "state epoch minus min observed epoch at the last reclaiming checkpoint",
-);
-static OBS_BACKLOG_ENTRIES: LazyGauge = LazyGauge::new(
-    "rcuarray_qsbr_defer_backlog_entries",
-    "deferred reclamations still pending after the last reclaiming checkpoint",
-);
-static OBS_BACKLOG_BYTES: LazyGauge = LazyGauge::new(
-    "rcuarray_qsbr_defer_backlog_bytes",
-    "approximate bytes still pending after the last reclaiming checkpoint",
-);
-static OBS_QUARANTINED: LazyGauge = LazyGauge::new(
-    "rcuarray_qsbr_quarantined_readers",
-    "participants currently force-parked by stall detection",
-);
-static OBS_QUARANTINES: LazyCounter = LazyCounter::new(
-    "rcuarray_qsbr_quarantines_total",
-    "stalled participants force-parked by stall detection",
-);
-static OBS_REJOINS: LazyCounter = LazyCounter::new(
-    "rcuarray_qsbr_rejoins_total",
-    "quarantined participants that resumed participation",
 );
 
 struct DomainInner {
@@ -73,6 +38,8 @@ struct DomainInner {
     checkpoints: AtomicU64,
     reclaimed: AtomicU64,
     reclaimed_bytes: AtomicU64,
+    /// Quarantined participants that resumed participation.
+    rejoins: AtomicU64,
     /// The robustness clock: bumped by every reclaiming (slow-path)
     /// checkpoint, never by wall time, so stall detection replays
     /// identically under the deterministic checker.
@@ -106,6 +73,97 @@ pub struct DomainStats {
     pub quarantined: u64,
     /// Cumulative quarantine events since the domain was created.
     pub quarantines: u64,
+    /// Approximate bytes reclaimed so far.
+    pub reclaimed_bytes: u64,
+    /// Quarantined participants that resumed participation.
+    pub rejoins: u64,
+}
+
+impl DomainInner {
+    fn stats(&self) -> DomainStats {
+        let read = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let (defers, reclaimed) = (read(&self.defers), read(&self.reclaimed));
+        let reclaimed_bytes = read(&self.reclaimed_bytes);
+        DomainStats {
+            defers,
+            checkpoints: read(&self.checkpoints),
+            reclaimed,
+            pending: defers.saturating_sub(reclaimed),
+            pending_bytes: read(&self.defer_bytes).saturating_sub(reclaimed_bytes),
+            quarantined: self.registry.num_quarantined() as u64,
+            quarantines: self.registry.quarantines_total(),
+            reclaimed_bytes,
+            rejoins: read(&self.rejoins),
+        }
+    }
+
+    /// How far the slowest participant trails the state epoch.
+    fn epoch_lag(&self) -> u64 {
+        let state = self.state.read();
+        state.saturating_sub(self.registry.min_observed(state))
+    }
+}
+
+impl Source for DomainInner {
+    fn report(&self, emit: Emit<'_>) {
+        let s = self.stats();
+        let counters = [
+            ("rcuarray_qsbr_defers_total", "QSBR_Defer calls", s.defers),
+            (
+                "rcuarray_qsbr_checkpoints_total",
+                "QSBR_Checkpoint calls",
+                s.checkpoints,
+            ),
+            (
+                "rcuarray_qsbr_reclaimed_total",
+                "deferred reclamations executed",
+                s.reclaimed,
+            ),
+            (
+                "rcuarray_qsbr_reclaimed_bytes_total",
+                "approximate bytes reclaimed at checkpoints",
+                s.reclaimed_bytes,
+            ),
+            (
+                "rcuarray_qsbr_quarantines_total",
+                "stalled participants force-parked by stall detection",
+                s.quarantines,
+            ),
+            (
+                "rcuarray_qsbr_rejoins_total",
+                "quarantined participants that resumed participation",
+                s.rejoins,
+            ),
+        ];
+        for (name, help, v) in counters {
+            emit(name, help, Reading::Counter(v));
+        }
+        emit(
+            "rcuarray_qsbr_epoch_lag",
+            "state epoch minus the slowest participant's observed epoch (max over domains)",
+            Reading::MaxGauge(self.epoch_lag() as i64),
+        );
+        let gauges = [
+            (
+                "rcuarray_qsbr_defer_backlog_entries",
+                "deferred reclamations still pending",
+                s.pending,
+            ),
+            (
+                "rcuarray_qsbr_defer_backlog_bytes",
+                "approximate bytes still pending reclamation",
+                s.pending_bytes,
+            ),
+            (
+                "rcuarray_qsbr_quarantined_readers",
+                "participants currently force-parked by stall detection",
+                s.quarantined,
+            ),
+        ];
+        for (name, help, v) in gauges {
+            emit(name, help, Reading::Gauge(v as i64));
+        }
+    }
 }
 
 /// A QSBR reclamation domain.
@@ -115,6 +173,9 @@ pub struct DomainStats {
 #[derive(Clone)]
 pub struct QsbrDomain {
     inner: Arc<DomainInner>,
+    /// Keeps the domain's cells on the registry's source list until the
+    /// last clone drops.
+    _listed: Arc<SourceHandle<DomainInner>>,
 }
 
 impl Default for QsbrDomain {
@@ -161,22 +222,25 @@ thread_local! {
 impl QsbrDomain {
     /// A fresh, empty domain at state epoch 0.
     pub fn new() -> Self {
+        let inner = Arc::new(DomainInner {
+            id: NEXT_DOMAIN_ID.fetch_add(1, Ordering::Relaxed),
+            state: StateEpoch::new(),
+            registry: Registry::new(),
+            defers: AtomicU64::new(0),
+            defer_bytes: AtomicU64::new(0),
+            checkpoints: AtomicU64::new(0),
+            reclaimed: AtomicU64::new(0),
+            reclaimed_bytes: AtomicU64::new(0),
+            rejoins: AtomicU64::new(0),
+            ticks: AtomicU64::new(0),
+            stall_lag: AtomicU64::new(u64::MAX),
+            stall_patience: AtomicU64::new(u64::MAX),
+            cap_bytes: AtomicU64::new(u64::MAX),
+            watermark_bytes: AtomicU64::new(u64::MAX),
+        });
         QsbrDomain {
-            inner: Arc::new(DomainInner {
-                id: NEXT_DOMAIN_ID.fetch_add(1, Ordering::Relaxed),
-                state: StateEpoch::new(),
-                registry: Registry::new(),
-                defers: AtomicU64::new(0),
-                defer_bytes: AtomicU64::new(0),
-                checkpoints: AtomicU64::new(0),
-                reclaimed: AtomicU64::new(0),
-                reclaimed_bytes: AtomicU64::new(0),
-                ticks: AtomicU64::new(0),
-                stall_lag: AtomicU64::new(u64::MAX),
-                stall_patience: AtomicU64::new(u64::MAX),
-                cap_bytes: AtomicU64::new(u64::MAX),
-                watermark_bytes: AtomicU64::new(u64::MAX),
-            }),
+            _listed: Arc::new(SourceHandle::new(Arc::clone(&inner))),
+            inner,
         }
     }
 
@@ -332,14 +396,18 @@ impl QsbrDomain {
             defer.push_with_bytes(epoch, bytes, reclaim);
         }
         if rejoined {
-            self.inner.registry.note_rejoin();
-            OBS_REJOINS.inc();
+            self.note_rejoin();
         }
         self.inner.defers.fetch_add(1, Ordering::Relaxed);
         self.inner
             .defer_bytes
             .fetch_add(bytes as u64, Ordering::Relaxed);
-        OBS_DEFERS.inc();
+    }
+
+    #[cold]
+    fn note_rejoin(&self) {
+        self.inner.registry.note_rejoin();
+        self.inner.rejoins.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Convenience: retire a value, deferring its `Drop`. The value's
@@ -419,11 +487,9 @@ impl QsbrDomain {
             (rejoined, defer.len())
         };
         if rejoined {
-            self.inner.registry.note_rejoin();
-            OBS_REJOINS.inc();
+            self.note_rejoin();
         }
         self.inner.checkpoints.fetch_add(1, Ordering::Relaxed);
-        OBS_CHECKPOINTS.inc();
         // Fast path: nothing to reclaim here (or a zero budget — a pure
         // quiescence announcement). The announcement above is the
         // checkpoint's semantic payload; the scan and split only matter
@@ -459,7 +525,6 @@ impl QsbrDomain {
                 .registry
                 .quarantine_stalled(observed, now, policy);
             if q > 0 {
-                OBS_QUARANTINES.add(q as u64);
                 min = min_observed();
             }
         }
@@ -480,38 +545,16 @@ impl QsbrDomain {
             freed += n;
             freed_bytes += b as u64;
         }
-        // Lag and backlog after this reclaim: how far the slowest
-        // participant trails the state epoch, and what that delay
-        // keeps alive (the Fig. 2 read-cost/backlog trade-off).
-        self.record_reclaim(freed, freed_bytes, min, t0);
-        freed
-    }
-
-    /// Shared slow-path accounting for reclaiming checkpoints: counters,
-    /// then the backlog/lag gauges when telemetry is enabled.
-    fn record_reclaim(
-        &self,
-        freed: usize,
-        freed_bytes: u64,
-        min: u64,
-        t0: Option<std::time::Instant>,
-    ) {
         self.inner
             .reclaimed
             .fetch_add(freed as u64, Ordering::Relaxed);
         self.inner
             .reclaimed_bytes
             .fetch_add(freed_bytes, Ordering::Relaxed);
-        OBS_RECLAIMED.add(freed as u64);
-        OBS_RECLAIMED_BYTES.add(freed_bytes);
         if let Some(t0) = t0 {
             OBS_CHECKPOINT_NS.record(t0.elapsed().as_nanos() as u64);
-            OBS_EPOCH_LAG.set(self.inner.state.read().saturating_sub(min) as i64);
-            let s = self.stats();
-            OBS_BACKLOG_ENTRIES.set(s.pending as i64);
-            OBS_BACKLOG_BYTES.set(s.pending_bytes as i64);
-            OBS_QUARANTINED.set(self.inner.registry.num_quarantined() as i64);
         }
+        freed
     }
 
     /// Park the calling thread: flush what can be freed, hand the rest to
@@ -554,6 +597,12 @@ impl QsbrDomain {
         self.inner.registry.min_observed(self.inner.state.read())
     }
 
+    /// How many epochs the slowest participant trails the state epoch
+    /// (probing it does not register the calling thread).
+    pub fn epoch_lag(&self) -> u64 {
+        self.inner.epoch_lag()
+    }
+
     /// Pending defers on the calling thread's own list.
     pub fn pending_local(&self) -> usize {
         self.record().pending()
@@ -571,19 +620,7 @@ impl QsbrDomain {
 
     /// Activity counters.
     pub fn stats(&self) -> DomainStats {
-        let defers = self.inner.defers.load(Ordering::Relaxed);
-        let reclaimed = self.inner.reclaimed.load(Ordering::Relaxed);
-        let defer_bytes = self.inner.defer_bytes.load(Ordering::Relaxed);
-        let reclaimed_bytes = self.inner.reclaimed_bytes.load(Ordering::Relaxed);
-        DomainStats {
-            defers,
-            checkpoints: self.inner.checkpoints.load(Ordering::Relaxed),
-            reclaimed,
-            pending: defers.saturating_sub(reclaimed),
-            pending_bytes: defer_bytes.saturating_sub(reclaimed_bytes),
-            quarantined: self.inner.registry.num_quarantined() as u64,
-            quarantines: self.inner.registry.quarantines_total(),
-        }
+        self.inner.stats()
     }
 }
 

@@ -37,7 +37,7 @@ fn domain_stats(domain: &QsbrDomain, name_advances_from_checkpoints: bool) -> Re
         // How far the slowest participant trails the state epoch right
         // now. Computed registry-side: probing stats must not register
         // the calling thread as a participant.
-        epoch_lag: domain.state_epoch().saturating_sub(domain.min_observed()),
+        epoch_lag: domain.epoch_lag(),
         // Cumulative quarantine events: every one is a participant the
         // domain declared stalled and force-parked.
         stalled: s.quarantines,

@@ -30,7 +30,7 @@ use crate::scheme::{AmortizedScheme, EbrScheme, LeakScheme, QsbrScheme, Scheme};
 use crate::snapshot::{reclaim_box, Snapshot};
 use crate::stats::ArrayStats;
 use rcuarray_analysis::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use rcuarray_obs::{LazyCounter, LazyGauge, LazyHistogram};
+use rcuarray_obs::{Emit, LazyHistogram, Reading, Source, SourceHandle};
 use rcuarray_qsbr::QsbrDomain;
 use rcuarray_reclaim::{Reclaim, ReclaimStats, Retired};
 use rcuarray_runtime::{
@@ -39,42 +39,84 @@ use rcuarray_runtime::{
 use std::ptr::NonNull;
 use std::sync::{Arc, Mutex};
 
-// Telemetry (DESIGN.md §7): process-wide totals across every array.
-// Per-array counts remain on `Shared` and surface through `stats()`.
-static OBS_RESIZES: LazyCounter =
-    LazyCounter::new("rcuarray_resizes_total", "completed resize operations");
-static OBS_RESIZE_ABORTS: LazyCounter = LazyCounter::new(
-    "rcuarray_resize_aborts_total",
-    "resize attempts rolled back after a fault, timeout or panic",
-);
-static OBS_BLOCKS_RECYCLED: LazyCounter = LazyCounter::new(
-    "rcuarray_blocks_recycled_total",
-    "block references recycled (pointer-copied, not moved) into successor snapshots",
-);
+// Telemetry (DESIGN.md §7): the two latency distributions have no
+// per-array twin. Every array count and level is read from the array's
+// own [`Cells`] at snapshot time.
 static OBS_RESIZE_NS: LazyHistogram = LazyHistogram::new(
     "rcuarray_resize_ns",
     "wall-clock duration of successful resize operations in nanoseconds",
-);
-static OBS_CAPACITY: LazyGauge = LazyGauge::new(
-    "rcuarray_capacity",
-    "current element capacity (last array to finish a resize wins)",
-);
-static OBS_FAILOVER_READS: LazyCounter = LazyCounter::new(
-    "rcuarray_failover_reads_total",
-    "reads served from a replica because the primary's home was not Up",
 );
 static OBS_FAILOVER_NS: LazyHistogram = LazyHistogram::new(
     "rcuarray_failover_latency_ns",
     "wall-clock latency of replica-failover reads in nanoseconds",
 );
-static OBS_REREPLICATION_BYTES: LazyCounter = LazyCounter::new(
-    "rcuarray_rereplication_bytes_total",
-    "bytes copied restoring replication after locale loss (repair and rejoin catch-up)",
-);
-static OBS_REPLICA_LAG: LazyGauge = LazyGauge::new(
-    "rcuarray_replica_lag_bytes",
-    "deferred replica-write charge not yet drained (last array to update wins)",
-);
+
+/// One array's counters and live levels: what [`RcuArray::stats`]
+/// reports, and what the registry reads as the `rcuarray_*` array
+/// metrics at snapshot time.
+#[derive(Default)]
+struct Cells {
+    capacity: AtomicUsize,
+    resizes: AtomicU64,
+    /// Resize attempts rolled back after a fault, timeout or panic.
+    aborted_resizes: AtomicU64,
+    /// Block references recycled into successor snapshots.
+    blocks_recycled: AtomicU64,
+    /// Reads served from the locale-local snapshot after their remote
+    /// charge exhausted its retry budget.
+    fallback_reads: AtomicU64,
+    /// Writes whose remote charge exhausted its retry budget (the store
+    /// itself still lands — blocks are shared memory in the simulation).
+    degraded_writes: AtomicU64,
+    /// Reads served from a replica because the primary's home was not
+    /// `Up` (DESIGN.md §15; zero at `replication_factor = 1`).
+    failover_reads: AtomicU64,
+    /// Bytes copied by `repair_replicas` / `rejoin_catch_up`.
+    rereplicated_bytes: AtomicU64,
+    /// The placement map's outstanding replica-lag total.
+    replica_lag: Arc<AtomicU64>,
+}
+
+impl Source for Cells {
+    fn report(&self, emit: Emit<'_>) {
+        let read = |a: &AtomicU64| Reading::Counter(a.load(Ordering::Relaxed));
+        emit(
+            "rcuarray_resizes_total",
+            "completed resize operations",
+            read(&self.resizes),
+        );
+        emit(
+            "rcuarray_resize_aborts_total",
+            "resize attempts rolled back after a fault, timeout or panic",
+            read(&self.aborted_resizes),
+        );
+        emit(
+            "rcuarray_blocks_recycled_total",
+            "block references recycled (pointer-copied, not moved) into successor snapshots",
+            read(&self.blocks_recycled),
+        );
+        emit(
+            "rcuarray_failover_reads_total",
+            "reads served from a replica because the primary's home was not Up",
+            read(&self.failover_reads),
+        );
+        emit(
+            "rcuarray_rereplication_bytes_total",
+            "bytes copied restoring replication after locale loss (repair and rejoin catch-up)",
+            read(&self.rereplicated_bytes),
+        );
+        emit(
+            "rcuarray_capacity",
+            "element capacity, summed over live arrays",
+            Reading::Gauge(self.capacity.load(Ordering::Relaxed) as i64),
+        );
+        emit(
+            "rcuarray_replica_lag_bytes",
+            "deferred replica-write charge not yet drained, summed over live arrays",
+            Reading::Gauge(self.replica_lag.load(Ordering::Relaxed) as i64),
+        );
+    }
+}
 
 /// Approximate heap footprint of a snapshot: the struct plus its block
 /// vector. Used as the byte hint for QSBR defer-backlog accounting; the
@@ -121,21 +163,8 @@ struct Shared<T: Element, S: Scheme> {
     placement: PlacementMap<T>,
     blocks: BlockRegistry<T>,
     scheme: S,
-    capacity: AtomicUsize,
-    resizes: AtomicU64,
-    /// Resize attempts rolled back after a fault, timeout or panic.
-    aborted_resizes: AtomicU64,
-    /// Reads served from the locale-local snapshot after their remote
-    /// charge exhausted its retry budget.
-    fallback_reads: AtomicU64,
-    /// Writes whose remote charge exhausted its retry budget (the store
-    /// itself still lands — blocks are shared memory in the simulation).
-    degraded_writes: AtomicU64,
-    /// Reads served from a replica because the primary's home was not
-    /// `Up` (DESIGN.md §15; zero at `replication_factor = 1`).
-    failover_reads: AtomicU64,
-    /// Bytes copied by `repair_replicas` / `rejoin_catch_up`.
-    rereplicated_bytes: AtomicU64,
+    /// Counters and levels, on the registry's source list.
+    cells: SourceHandle<Cells>,
 }
 
 /// A parallel-safe distributed resizable array (see [module docs](self)).
@@ -173,22 +202,21 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
             .register(cluster.num_locales(), |loc| {
                 LocaleState::new(loc, scheme.reclaimer())
             });
+        // Also checks `replication_factor <= num_locales`.
+        let placement = PlacementMap::new(config.replication_factor, cluster.num_locales());
+        let cells = SourceHandle::new(Arc::new(Cells {
+            replica_lag: placement.lag_total(),
+            ..Cells::default()
+        }));
         RcuArray {
             shared: Arc::new(Shared {
                 cluster: Arc::clone(cluster),
                 config,
                 write_lock: GlobalLock::new(cluster, LocaleId::ZERO),
-                // Also checks `replication_factor <= num_locales`.
-                placement: PlacementMap::new(config.replication_factor, cluster.num_locales()),
+                placement,
                 blocks: BlockRegistry::new(),
                 scheme,
-                capacity: AtomicUsize::new(0),
-                resizes: AtomicU64::new(0),
-                aborted_resizes: AtomicU64::new(0),
-                fallback_reads: AtomicU64::new(0),
-                degraded_writes: AtomicU64::new(0),
-                failover_reads: AtomicU64::new(0),
-                rereplicated_bytes: AtomicU64::new(0),
+                cells,
             }),
             state,
         }
@@ -216,11 +244,17 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
         S::NAME
     }
 
+    /// The array's counters and levels.
+    #[inline]
+    fn cells(&self) -> &Cells {
+        &self.shared.cells
+    }
+
     /// Current capacity in elements (monotonically non-decreasing; the
     /// paper's RCUArray only expands).
     #[inline]
     pub fn capacity(&self) -> usize {
-        self.shared.capacity.load(Ordering::Acquire)
+        self.cells().capacity.load(Ordering::Acquire)
     }
 
     /// Alias of [`capacity`](Self::capacity): every slot of the array is a
@@ -279,7 +313,7 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
             .run(cluster.comm(), || cluster.try_get_from(home, bytes))
             .is_err()
         {
-            self.shared.fallback_reads.fetch_add(1, Ordering::Relaxed);
+            self.cells().fallback_reads.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -303,7 +337,7 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
             .run(cluster.comm(), || cluster.try_put_to(home, bytes))
             .is_err()
         {
-            self.shared.degraded_writes.fetch_add(1, Ordering::Relaxed);
+            self.cells().degraded_writes.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -335,14 +369,13 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
         let membership = self.shared.cluster.membership();
         let Some((loc, replica)) = self.shared.placement.failover_target(block_idx, membership)
         else {
-            self.shared.fallback_reads.fetch_add(1, Ordering::Relaxed);
+            self.cells().fallback_reads.fetch_add(1, Ordering::Relaxed);
             return primary.load(off);
         };
         // SAFETY: replica blocks are registry-owned like every block.
         let v = unsafe { replica.get() }.load(off);
         self.charge_get(loc, T::byte_size());
-        self.shared.failover_reads.fetch_add(1, Ordering::Relaxed);
-        OBS_FAILOVER_READS.inc();
+        self.cells().failover_reads.fetch_add(1, Ordering::Relaxed);
         if let Some(t0) = t0 {
             OBS_FAILOVER_NS.record(t0.elapsed().as_nanos() as u64);
         }
@@ -370,14 +403,13 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
                 for k in 0..take {
                     out.push(b.load(off + k));
                 }
-                self.shared.failover_reads.fetch_add(1, Ordering::Relaxed);
-                OBS_FAILOVER_READS.inc();
+                self.cells().failover_reads.fetch_add(1, Ordering::Relaxed);
                 if let Some(t0) = t0 {
                     OBS_FAILOVER_NS.record(t0.elapsed().as_nanos() as u64);
                 }
             }
             None => {
-                self.shared.fallback_reads.fetch_add(1, Ordering::Relaxed);
+                self.cells().fallback_reads.fetch_add(1, Ordering::Relaxed);
                 for k in 0..take {
                     out.push(primary.load(off + k));
                 }
@@ -447,7 +479,6 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
                 }
             }
         });
-        OBS_REPLICA_LAG.set(shared.placement.lag_bytes() as i64);
         let pressure = &shared.config.pressure;
         if pressure.is_bounded() && shared.placement.lag_bytes() > pressure.high_watermark {
             self.drain_replica_lag();
@@ -461,7 +492,6 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
         for (loc, bytes) in self.shared.placement.take_lag() {
             self.charge_put(loc, bytes as usize);
         }
-        OBS_REPLICA_LAG.set(self.shared.placement.lag_bytes() as i64);
     }
 
     /// Retire a just-unlinked snapshot through the scheme's [`Reclaim`]
@@ -825,13 +855,15 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
 
         // Line 28: persist the round-robin cursor.
         self.shared.placement.commit_cursor(&plan);
-        let new_cap = self.shared.capacity.fetch_add(add, Ordering::AcqRel) + add;
-        self.shared.resizes.fetch_add(1, Ordering::Relaxed);
-        drop(guard); // line 29
-        OBS_RESIZES.inc();
+        let cells = self.cells();
+        let new_cap = cells.capacity.fetch_add(add, Ordering::AcqRel) + add;
+        cells.resizes.fetch_add(1, Ordering::Relaxed);
         // Every in-view locale's clone recycled the old snapshot's prefix.
-        OBS_BLOCKS_RECYCLED.add((rollback.old_nblocks * view.num_members()) as u64);
-        OBS_CAPACITY.set(new_cap as i64);
+        let recycled = rollback.old_nblocks * view.num_members();
+        cells
+            .blocks_recycled
+            .fetch_add(recycled as u64, Ordering::Relaxed);
+        drop(guard); // line 29
         if let Some(t0) = t0 {
             OBS_RESIZE_NS.record(t0.elapsed().as_nanos() as u64);
         }
@@ -841,8 +873,7 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
     /// Count an aborted attempt that never reached the rollback guard.
     #[cold]
     fn abort_resize(&self, e: CommError) -> CommError {
-        self.shared.aborted_resizes.fetch_add(1, Ordering::Relaxed);
-        OBS_RESIZE_ABORTS.inc();
+        self.cells().aborted_resizes.fetch_add(1, Ordering::Relaxed);
         e
     }
 
@@ -863,7 +894,7 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
         let bs = self.shared.config.block_size;
         let keep_blocks = new_capacity.div_ceil(bs);
         let guard = self.shared.write_lock.acquire();
-        let current = self.shared.capacity.load(Ordering::Acquire);
+        let current = self.cells().capacity.load(Ordering::Acquire);
         let target = (keep_blocks * bs).min(current);
         if target >= current {
             drop(guard);
@@ -884,11 +915,9 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
         // Keep the placement map aligned with the snapshot prefix: a
         // later resize appends fresh groups at `keep_blocks`.
         self.shared.placement.truncate(keep_blocks);
-        self.shared.capacity.store(target, Ordering::Release);
-        self.shared.resizes.fetch_add(1, Ordering::Relaxed);
+        self.cells().capacity.store(target, Ordering::Release);
+        self.cells().resizes.fetch_add(1, Ordering::Relaxed);
         drop(guard);
-        OBS_RESIZES.inc();
-        OBS_CAPACITY.set(target as i64);
         target
     }
 
@@ -1114,10 +1143,9 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
             unpaced += bytes as u64;
         }
         if copied > 0 {
-            self.shared
+            self.cells()
                 .rereplicated_bytes
                 .fetch_add(copied as u64, Ordering::Relaxed);
-            OBS_REREPLICATION_BYTES.add(copied as u64);
         }
         copied
     }
@@ -1178,7 +1206,7 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
                     .copy_between(donor_loc, target, bytes)
                     .is_err()
                 {
-                    shared.degraded_writes.fetch_add(1, Ordering::Relaxed);
+                    shared.cells.degraded_writes.fetch_add(1, Ordering::Relaxed);
                 }
                 group.entries[slot] = (target, fresh);
                 copied += bytes;
@@ -1246,7 +1274,7 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
                             .copy_between(donor_loc, locale, bytes)
                             .is_err()
                         {
-                            shared.degraded_writes.fetch_add(1, Ordering::Relaxed);
+                            shared.cells.degraded_writes.fetch_add(1, Ordering::Relaxed);
                         }
                         c += bytes;
                     }
@@ -1255,9 +1283,9 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
             }
             if copied > 0 {
                 shared
+                    .cells
                     .rereplicated_bytes
                     .fetch_add(copied as u64, Ordering::Relaxed);
-                OBS_REREPLICATION_BYTES.add(copied as u64);
             }
         }
         shared.cluster.membership().mark_caught_up(locale);
@@ -1271,6 +1299,8 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
     /// clones of one shared domain (QSBR family) max — the domain's
     /// numbers are reported once, not once per locale.
     pub fn stats(&self) -> ArrayStats {
+        let c = self.cells();
+        let read = |a: &AtomicU64| a.load(Ordering::Relaxed);
         let mut reclaim = ReclaimStats::default();
         for (_, st) in self.state.iter() {
             reclaim = reclaim.merge(st.reclaim().reclaim_stats());
@@ -1282,12 +1312,13 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
                 .shared
                 .blocks
                 .per_locale_histogram(self.shared.cluster.num_locales()),
-            resizes: self.shared.resizes.load(Ordering::Relaxed),
-            aborted_resizes: self.shared.aborted_resizes.load(Ordering::Relaxed),
-            fallback_reads: self.shared.fallback_reads.load(Ordering::Relaxed),
-            degraded_writes: self.shared.degraded_writes.load(Ordering::Relaxed),
-            failover_reads: self.shared.failover_reads.load(Ordering::Relaxed),
-            rereplicated_bytes: self.shared.rereplicated_bytes.load(Ordering::Relaxed),
+            resizes: read(&c.resizes),
+            blocks_recycled: read(&c.blocks_recycled),
+            aborted_resizes: read(&c.aborted_resizes),
+            fallback_reads: read(&c.fallback_reads),
+            degraded_writes: read(&c.degraded_writes),
+            failover_reads: read(&c.failover_reads),
+            rereplicated_bytes: read(&c.rereplicated_bytes),
             replica_lag_bytes: self.shared.placement.lag_bytes(),
             reclaim,
             comm: self.shared.cluster.comm_stats(),
@@ -1316,8 +1347,7 @@ impl<T: Element, S: Scheme> Drop for ResizeRollback<'_, T, S> {
             return;
         }
         let shared = &self.array.shared;
-        shared.aborted_resizes.fetch_add(1, Ordering::Relaxed);
-        OBS_RESIZE_ABORTS.inc();
+        shared.cells.aborted_resizes.fetch_add(1, Ordering::Relaxed);
         // Drop the groups the failed attempt appended; their blocks stay
         // registry-owned like every block of a rolled-back resize.
         shared.placement.truncate(self.old_nblocks);

@@ -33,6 +33,7 @@ use rcuarray_analysis::sync::Mutex;
 use rcuarray_runtime::{
     CommError, LocaleId, Membership, MembershipView, OpKind, RoundRobinCounter,
 };
+use std::sync::Arc;
 
 /// The placement of one logical block: the snapshot block first (pinned,
 /// Lemma 6), then `replication_factor - 1` replica blocks on distinct
@@ -112,7 +113,9 @@ pub struct PlacementMap<T: Element> {
     groups: Mutex<Vec<BlockGroup<T>>>,
     /// Deferred replica-write charges, bytes per destination locale.
     lag: Vec<AtomicU64>,
-    lag_total: AtomicU64,
+    /// Their sum; shared with the array's obs source, which reports it
+    /// as `rcuarray_replica_lag_bytes`.
+    lag_total: Arc<AtomicU64>,
 }
 
 impl<T: Element> PlacementMap<T> {
@@ -131,7 +134,7 @@ impl<T: Element> PlacementMap<T> {
             cursor: RoundRobinCounter::new(num_locales),
             groups: Mutex::new(Vec::new()),
             lag: (0..num_locales).map(|_| AtomicU64::new(0)).collect(),
-            lag_total: AtomicU64::new(0),
+            lag_total: Arc::default(),
         }
     }
 
@@ -271,6 +274,11 @@ impl<T: Element> PlacementMap<T> {
     /// Outstanding replica-write charge not yet drained.
     pub fn lag_bytes(&self) -> u64 {
         self.lag_total.load(Ordering::Relaxed)
+    }
+
+    /// The outstanding-lag total cell, for the array's obs source.
+    pub(crate) fn lag_total(&self) -> Arc<AtomicU64> {
+        Arc::clone(&self.lag_total)
     }
 
     /// Take the whole lag ledger for draining: `(locale, bytes)` for

@@ -15,6 +15,9 @@ pub struct ArrayStats {
     pub blocks_per_locale: Vec<usize>,
     /// Resize operations performed.
     pub resizes: u64,
+    /// Block references recycled (pointer-copied) into successor
+    /// snapshots, one per old block per in-view locale per resize.
+    pub blocks_recycled: u64,
     /// Resize attempts that aborted (fault, timeout or panic) and were
     /// rolled back; always zero on a healthy cluster.
     pub aborted_resizes: u64,

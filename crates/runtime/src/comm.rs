@@ -27,27 +27,12 @@
 use crate::fault::{CommError, FaultPlan, OpKind};
 use crate::locale::LocaleId;
 use crate::transport::{
-    CommMessage, LinkMatrix, LinkStats, MeshConfig, MeshTransport, ShmemTransport, Transport,
-    TransportKind,
+    CommMessage, LinkMatrix, MeshConfig, MeshTransport, ShmemTransport, Transport, TransportKind,
 };
-use parking_lot::Mutex;
-use rcuarray_obs::LazyCounter;
+use rcuarray_obs::{Emit, Reading, Source, SourceHandle};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-// Telemetry (DESIGN.md §7). Completed operations and link traffic are
-// counted once, in the initiator's padded cells below; `collect` reads
-// the process-wide totals from them at snapshot time. Only the cold
-// fault-path counters are pushed to the registry as they happen.
-static OBS_RETRIES: LazyCounter = LazyCounter::new(
-    "rcuarray_comm_retries_total",
-    "retry attempts charged by the retry policy",
-);
-static OBS_FAULTS: LazyCounter = LazyCounter::new(
-    "rcuarray_comm_faults_injected_total",
-    "remote operations charged as failed (fault plan or transport refusal)",
-);
 
 /// How much a remote operation should cost in wall-clock time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -252,97 +237,99 @@ fn fold_locales(cells: &[LocaleCounters], read: impl Fn(&AtomicU64) -> u64) -> C
         .fold(CommStats::default(), |a, b| a + b)
 }
 
-/// One live layer's counter blocks, as the collector sees them.
-type LiveLayer = (Weak<[LocaleCounters]>, Weak<LinkMatrix>);
-
-/// Process-wide comm/transport totals: every live layer's blocks plus
-/// the counts of layers that were dropped or reset. A layer folds its
-/// counts into `retired` under the same lock [`collect`] takes, so no
-/// reported total ever goes backwards.
-#[derive(Default)]
-struct Totals {
-    live: Vec<LiveLayer>,
-    retired: (CommStats, LinkStats),
+/// A layer's counter blocks: the per-locale comm and fault lines and
+/// the link matrix. On the registry's source list, they are what the
+/// `rcuarray_comm_*` and `rcuarray_transport_{messages,bytes}_total`
+/// totals read at snapshot time (DESIGN.md §7).
+#[derive(Debug)]
+struct CommCells {
+    per_locale: Arc<[LocaleCounters]>,
+    faults: Box<[FaultCounters]>,
+    links: Arc<LinkMatrix>,
 }
 
-impl Totals {
-    fn retire(&mut self, comm: CommStats, links: LinkStats) {
-        self.retired = (self.retired.0 + comm, self.retired.1 + links);
+impl CommCells {
+    /// Emit every total, reading each cell with `read` (a load for a
+    /// snapshot, a swap to zero for a reset).
+    fn emit(&self, read: impl Fn(&AtomicU64) -> u64, emit: Emit<'_>) {
+        let comm = fold_locales(&self.per_locale, &read);
+        let (mut retries, mut failed) = (0, 0);
+        for f in self.faults.iter() {
+            retries += read(&f.retries);
+            failed += read(&f.gets_failed) + read(&f.puts_failed) + read(&f.ons_failed);
+        }
+        let links = self.links.fold(&read);
+        let totals = [
+            (
+                "rcuarray_comm_gets_total",
+                "remote GET operations",
+                comm.gets,
+            ),
+            (
+                "rcuarray_comm_puts_total",
+                "remote PUT operations",
+                comm.puts,
+            ),
+            (
+                "rcuarray_comm_remote_execs_total",
+                "remote on-block executions",
+                comm.remote_executes,
+            ),
+            (
+                "rcuarray_comm_local_ops_total",
+                "accesses that stayed on their home locale",
+                comm.local_accesses,
+            ),
+            (
+                "rcuarray_comm_bytes_total",
+                "bytes moved by remote GET/PUT operations",
+                comm.bytes_moved,
+            ),
+            (
+                "rcuarray_comm_retries_total",
+                "retry attempts charged by the retry policy",
+                retries,
+            ),
+            (
+                "rcuarray_comm_faults_injected_total",
+                "remote operations charged as failed (fault plan or transport refusal)",
+                failed,
+            ),
+            (
+                "rcuarray_transport_messages_total",
+                "messages transmitted across locale links",
+                links.messages,
+            ),
+            (
+                "rcuarray_transport_bytes_total",
+                "payload bytes transmitted across locale links",
+                links.bytes,
+            ),
+        ];
+        for (name, help, v) in totals {
+            emit(name, help, Reading::Counter(v));
+        }
     }
 }
 
-fn totals() -> &'static Mutex<Totals> {
-    static TOTALS: std::sync::LazyLock<Mutex<Totals>> = std::sync::LazyLock::new(Default::default);
-    &TOTALS
-}
-
-/// The [`rcuarray_obs::Collector`] for the five `rcuarray_comm_*` and
-/// two `rcuarray_transport_*` totals.
-fn collect(emit: &mut dyn FnMut(&'static str, &'static str, u64)) {
-    let (comm, links) = {
-        let t = totals().lock();
-        t.live
-            .iter()
-            .filter_map(|(cells, links)| {
-                let comm = fold_locales(&cells.upgrade()?, |a| a.load(Ordering::Relaxed));
-                Some((comm, links.upgrade()?.total()))
-            })
-            .fold(t.retired, |(c, l), (dc, dl)| (c + dc, l + dl))
-    };
-    emit(
-        "rcuarray_comm_gets_total",
-        "remote GET operations",
-        comm.gets,
-    );
-    emit(
-        "rcuarray_comm_puts_total",
-        "remote PUT operations",
-        comm.puts,
-    );
-    emit(
-        "rcuarray_comm_remote_execs_total",
-        "remote on-block executions",
-        comm.remote_executes,
-    );
-    emit(
-        "rcuarray_comm_local_ops_total",
-        "accesses that stayed on their home locale",
-        comm.local_accesses,
-    );
-    emit(
-        "rcuarray_comm_bytes_total",
-        "bytes moved by remote GET/PUT operations",
-        comm.bytes_moved,
-    );
-    emit(
-        "rcuarray_transport_messages_total",
-        "messages transmitted across locale links",
-        links.messages,
-    );
-    emit(
-        "rcuarray_transport_bytes_total",
-        "payload bytes transmitted across locale links",
-        links.bytes,
-    );
-}
-
-/// The number of layers the collector currently reads (tests: the list
-/// must not grow with the number of layers ever built).
-pub fn live_layers() -> usize {
-    totals().lock().live.len()
+impl Source for CommCells {
+    fn report(&self, emit: Emit<'_>) {
+        self.emit(|a| a.load(Ordering::Relaxed), emit);
+    }
 }
 
 /// The cluster's communication fabric: fault plan + accounting + latency
 /// in front of a pluggable [`Transport`] backend.
 ///
 /// Its counters feed the process-wide `rcuarray_comm_*` and
-/// `rcuarray_transport_*` totals (DESIGN.md §7), read at snapshot time;
-/// dropping or [resetting](Self::reset) a layer keeps its counts in them.
+/// `rcuarray_transport_{messages,bytes}_total` totals (DESIGN.md §7),
+/// read at snapshot time; dropping or [resetting](Self::reset) a layer
+/// keeps its counts in them.
 #[derive(Debug)]
 pub struct CommLayer {
+    /// The hot per-locale lines, also held by `cells`.
     per_locale: Arc<[LocaleCounters]>,
-    links: Arc<LinkMatrix>,
-    fault_counters: Box<[FaultCounters]>,
+    cells: SourceHandle<CommCells>,
     latency: LatencyModel,
     fault: FaultPlan,
     transport: Box<dyn Transport>,
@@ -382,16 +369,14 @@ impl CommLayer {
         let per_locale: Arc<[LocaleCounters]> = (0..num_locales)
             .map(|_| LocaleCounters::default())
             .collect();
-        static COLLECTOR: std::sync::Once = std::sync::Once::new();
-        COLLECTOR.call_once(|| rcuarray_obs::registry().register_collector(collect));
-        totals()
-            .lock()
-            .live
-            .push((Arc::downgrade(&per_locale), Arc::downgrade(&links)));
+        let cells = SourceHandle::new(Arc::new(CommCells {
+            per_locale: Arc::clone(&per_locale),
+            faults: (0..num_locales).map(|_| FaultCounters::default()).collect(),
+            links,
+        }));
         CommLayer {
             per_locale,
-            links,
-            fault_counters: (0..num_locales).map(|_| FaultCounters::default()).collect(),
+            cells,
             latency,
             fault,
             transport,
@@ -461,7 +446,7 @@ impl CommLayer {
     /// `(attempted, failed)`.
     #[inline]
     fn fault_cells(&self, from: LocaleId, op: OpKind) -> (&AtomicU64, &AtomicU64) {
-        let fc = &self.fault_counters[from.index()];
+        let fc = &self.cells.faults[from.index()];
         match op {
             OpKind::Get => (&fc.gets_attempted, &fc.gets_failed),
             OpKind::Put => (&fc.puts_attempted, &fc.puts_failed),
@@ -474,7 +459,6 @@ impl CommLayer {
         let (attempted, failed) = self.fault_cells(from, op);
         attempted.fetch_add(1, Ordering::Relaxed);
         failed.fetch_add(1, Ordering::Relaxed);
-        OBS_FAULTS.inc();
     }
 
     #[inline]
@@ -533,10 +517,9 @@ impl CommLayer {
     /// [`RetryPolicy::run`](crate::fault::RetryPolicy::run)).
     #[inline]
     pub fn record_retry(&self, locale: LocaleId) {
-        self.fault_counters[locale.index()]
+        self.cells.faults[locale.index()]
             .retries
             .fetch_add(1, Ordering::Relaxed);
-        OBS_RETRIES.inc();
     }
 
     /// Record an access that stayed on `locale`.
@@ -560,7 +543,7 @@ impl CommLayer {
 
     /// Snapshot of one locale's fault accounting.
     pub fn fault_stats_for(&self, locale: LocaleId) -> FaultStats {
-        let c = &self.fault_counters[locale.index()];
+        let c = &self.cells.faults[locale.index()];
         FaultStats {
             gets_attempted: c.gets_attempted.load(Ordering::Relaxed),
             puts_attempted: c.puts_attempted.load(Ordering::Relaxed),
@@ -574,7 +557,7 @@ impl CommLayer {
 
     /// Fault accounting summed over all locales.
     pub fn fault_totals(&self) -> FaultStats {
-        (0..self.fault_counters.len())
+        (0..self.cells.faults.len())
             .map(|i| self.fault_stats_for(LocaleId::new(i as u32)))
             .fold(FaultStats::default(), |a, b| a + b)
     }
@@ -583,40 +566,23 @@ impl CommLayer {
     /// per-locale comm and fault counters and the transport's per-link
     /// totals. The process-wide totals keep what was reset.
     pub fn reset(&self) {
-        // Swapped under the collector's lock: each count lands in the
-        // retired totals or stays live, never in both or neither.
-        totals().lock().retire(
-            fold_locales(&self.per_locale, |a| a.swap(0, Ordering::Relaxed)),
-            self.links.drain(),
-        );
-        for c in self.fault_counters.iter() {
+        // Each reported cell is swapped to zero under the source list's
+        // lock: a count lands in the retired totals or stays live, never
+        // in both or neither.
+        self.cells
+            .fold_and_zero(|cells, emit| cells.emit(|a| a.swap(0, Ordering::Relaxed), emit));
+        for c in self.cells.faults.iter() {
             c.gets_attempted.store(0, Ordering::Relaxed);
             c.puts_attempted.store(0, Ordering::Relaxed);
             c.ons_attempted.store(0, Ordering::Relaxed);
-            c.gets_failed.store(0, Ordering::Relaxed);
-            c.puts_failed.store(0, Ordering::Relaxed);
-            c.ons_failed.store(0, Ordering::Relaxed);
-            c.retries.store(0, Ordering::Relaxed);
         }
-    }
-}
-
-impl Drop for CommLayer {
-    /// Fold this layer's counts into the retired totals and leave the
-    /// live list in one critical section, so a snapshot sees them
-    /// exactly once.
-    fn drop(&mut self) {
-        let mut t = totals().lock();
-        t.retire(self.total(), self.links.total());
-        let mine = Arc::as_ptr(&self.per_locale);
-        t.live
-            .retain(|(cells, _)| !std::ptr::addr_eq(cells.as_ptr(), mine));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::LinkStats;
 
     fn layer(n: usize) -> CommLayer {
         CommLayer::new(n, LatencyModel::None)

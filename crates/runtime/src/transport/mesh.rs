@@ -33,15 +33,10 @@ use super::{
 use crate::fault::CommError;
 use crate::locale::LocaleId;
 use parking_lot::{Condvar, Mutex};
-use rcuarray_obs::LazyGauge;
+use rcuarray_obs::{Emit, Reading, Source, SourceHandle};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-static OBS_QUEUE_DEPTH: LazyGauge = LazyGauge::new(
-    "rcuarray_transport_queue_depth",
-    "frames currently queued on mesh links awaiting dispatch",
-);
 
 /// Tuning knobs for [`MeshTransport`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,9 +139,36 @@ struct Shared {
     reorder: Box<[bool]>,
 }
 
+/// Read at snapshot time: the frames queued on this mesh's links right
+/// now, counted from the inboxes themselves so no enqueue/dispatch pair
+/// has to be mirrored onto a gauge.
+impl Source for Shared {
+    fn report(&self, emit: Emit<'_>) {
+        let depth: usize = self
+            .inboxes
+            .iter()
+            .map(|inbox| {
+                inbox
+                    .state
+                    .lock()
+                    .per_link
+                    .iter()
+                    .map(VecDeque::len)
+                    .sum::<usize>()
+            })
+            .sum();
+        emit(
+            "rcuarray_transport_queue_depth",
+            "frames queued on mesh links awaiting dispatch, summed over live meshes",
+            Reading::Gauge(depth as i64),
+        );
+    }
+}
+
 /// Message-passing transport over per-link bounded channels.
 pub struct MeshTransport {
-    shared: Arc<Shared>,
+    /// The links and inboxes, on the registry's source list.
+    shared: SourceHandle<Shared>,
     cfg: MeshConfig,
     dispatchers: Vec<std::thread::JoinHandle<()>>,
 }
@@ -186,16 +208,16 @@ impl MeshTransport {
                 space: Condvar::new(),
             })
             .collect();
-        let shared = Arc::new(Shared {
+        let shared = SourceHandle::new(Arc::new(Shared {
             n,
             inboxes,
             links,
             log: DeliveryLog::new(n),
             reorder,
-        });
+        }));
         let dispatchers = (0..n)
             .map(|dst| {
-                let shared = Arc::clone(&shared);
+                let shared = Arc::clone(shared.block());
                 std::thread::Builder::new()
                     .name(format!("mesh-dispatch-{dst}"))
                     .spawn(move || dispatch(&shared, dst))
@@ -245,7 +267,6 @@ fn dispatch(shared: &Shared, dst: usize) {
             return;
         };
         inbox.space.notify_all();
-        OBS_QUEUE_DEPTH.add(-1);
         let (_msg, seq) = decode_frame(&frame.payload).expect("mesh frame corrupted in transit");
         let from = LocaleId::new(frame.from);
         if shared.reorder[from.index() * n + dst] {
@@ -316,7 +337,6 @@ impl Transport for MeshTransport {
                 payload: encode_frame(msg, seq),
                 ack: Arc::clone(&ack),
             });
-            OBS_QUEUE_DEPTH.add(1);
         }
         inbox.ready.notify_one();
         match ack.wait_until(deadline) {

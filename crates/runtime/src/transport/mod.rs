@@ -337,19 +337,11 @@ impl LinkMatrix {
         }
     }
 
-    /// Totals over every link.
-    pub(crate) fn total(&self) -> LinkStats {
-        self.fold(|a| a.load(Ordering::Relaxed))
-    }
-
-    /// Zero every link, returning what it held. Each cell is swapped, so
-    /// a concurrent `record` lands either in the result or in the
-    /// cleared cell, never in neither.
-    pub(crate) fn drain(&self) -> LinkStats {
-        self.fold(|a| a.swap(0, Ordering::Relaxed))
-    }
-
-    fn fold(&self, read: impl Fn(&AtomicU64) -> u64) -> LinkStats {
+    /// Totals over every link, reading each cell with `read`: a load, or
+    /// a swap to zero to drain the matrix (a concurrent `record` then
+    /// lands either in the result or in the cleared cell, never in
+    /// neither).
+    pub(crate) fn fold(&self, read: impl Fn(&AtomicU64) -> u64) -> LinkStats {
         self.cells
             .iter()
             .map(|c| LinkStats {
@@ -594,9 +586,14 @@ mod tests {
             messages: 3,
             bytes: 132,
         };
-        assert_eq!(m.total(), all);
-        assert_eq!(m.drain(), all);
-        assert_eq!(m.total(), LinkStats::default(), "drain zeroes every link");
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        assert_eq!(m.fold(load), all);
+        assert_eq!(m.fold(|a| a.swap(0, Ordering::Relaxed)), all);
+        assert_eq!(
+            m.fold(load),
+            LinkStats::default(),
+            "drain zeroes every link"
+        );
     }
 
     #[test]
