@@ -104,13 +104,13 @@ pub const RELAXED_ALLOWLIST: &[&str] = &[
     "crates/baselines/",
     "crates/collections/",
     "crates/bench/",
-    // Comm/fault counters in the simulated runtime (not migrated; the
+    // The comm tally: single-writer rows, charged with a relaxed load
+    // and store by the row's owner and summed at snapshot time; never
+    // used for synchronization (the slot handoff goes through a mutex).
+    "crates/runtime/src/tally.rs",
+    // Fault-plan counters in the simulated runtime (not migrated; the
     // migrated sync_var.rs / global_lock.rs get narrow entries below).
-    "crates/runtime/src/comm.rs",
     "crates/runtime/src/fault.rs",
-    // Per-link transmission counters and the delivery-log enable gate;
-    // the comm collector reads the link totals at snapshot time.
-    "crates/runtime/src/transport/",
     // Round-robin placement hint: the counter only steers which locale
     // homes the next block; any interleaving yields a valid placement.
     "crates/runtime/src/dist.rs",
@@ -162,14 +162,10 @@ pub const COUNTER_ALLOWLIST: &[&str] = &[
     // Per-locale replica-lag ledger backing ArrayStats::replica_lag_bytes;
     // the array's obs source reads its total.
     "crates/rcuarray/src/placement.rs",
-    // Per-locale comm/fault accounting (locality assertions need the
-    // per-locale split); the comm layer's obs source reads the process
-    // totals from these cells.
-    "crates/runtime/src/comm.rs",
+    // Comm accounting in single-writer rows, plus the off-path failure
+    // and retry lines; the tally is the comm layer's obs source.
+    "crates/runtime/src/tally.rs",
     "crates/runtime/src/fault.rs",
-    // Per-link (from, to) transmission cells, read by the comm layer's
-    // obs source.
-    "crates/runtime/src/transport/",
     "crates/runtime/src/locale.rs",
     "crates/runtime/src/global_lock.rs",
     // Round-robin placement cursor: an index, not a metric.

@@ -109,18 +109,6 @@ impl<S: Source> SourceHandle<S> {
     pub fn block(&self) -> &Arc<S> {
         &self.block
     }
-
-    /// Zero the block's counters and fold what they held into the
-    /// retired totals, atomically with respect to snapshots. `take` must
-    /// swap each counter to zero and emit its old value; it runs under
-    /// the list's lock, so it must take no lock and, under `check`, touch
-    /// no facade atomic.
-    pub fn fold_and_zero(&self, take: impl FnOnce(&S, Emit<'_>)) {
-        let mut sources = crate::registry().sources.lock();
-        take(&self.block, &mut |n, h, r| {
-            add(&mut sources.retired, n, h, r.retired())
-        });
-    }
 }
 
 impl<S: Source> std::ops::Deref for SourceHandle<S> {
@@ -207,12 +195,6 @@ mod tests {
         assert_eq!(read(), (Some(7), Some(7), Some(5)));
         drop(b);
         assert_eq!(read(), (Some(7), Some(2), Some(2)), "counts stay");
-        a.fold_and_zero(|blk, emit| {
-            let hits = blk.hits.swap(0, Ordering::Relaxed);
-            emit("obs_source_test_total", "hits", Reading::Counter(hits));
-        });
-        assert_eq!(a.hits.load(Ordering::Relaxed), 0);
-        assert_eq!(read(), (Some(7), Some(2), Some(2)), "fold keeps counts");
         a.hits.fetch_add(1, Ordering::Relaxed);
         drop(a);
         assert_eq!(read(), (Some(8), Some(0), Some(0)), "names outlive sources");

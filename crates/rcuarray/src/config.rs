@@ -17,14 +17,15 @@ pub struct Config {
     /// Memory ordering of the EBR reader protocol (ignored under QSBR).
     pub ordering: OrderingMode,
     /// Whether element accesses are charged through the cluster's
-    /// communication layer, identically across all array variants. A
-    /// local access costs one relaxed fetch-add on the initiating
-    /// locale's padded counter line. A remote one costs two there (op and
-    /// bytes) and two on its link's padded line (messages and bytes),
-    /// plus a fault-plan flag check and the transport call. No access
-    /// touches a process-wide line: the registry's `rcuarray_comm_*` and
-    /// `rcuarray_transport_*` totals are read from these counters at
-    /// snapshot time.
+    /// communication layer, identically across all array variants. On a
+    /// healthy shmem cluster an access, local or remote, is a few plain
+    /// stores into the calling thread's own row of the comm tally, with
+    /// no lock-prefixed instruction and no branch on locality; with a
+    /// fault plan, a latency model or the mesh backend a remote access
+    /// goes through the transport, which meters it the same way. No
+    /// access touches a line another thread writes: the registry's
+    /// `rcuarray_comm_*` and `rcuarray_transport_*` totals are summed
+    /// from the rows at snapshot time.
     /// Disable it only for microbenchmarks that isolate the reclamation
     /// protocol itself.
     pub account_comm: bool,

@@ -21,16 +21,17 @@
 //! here — **not** in the backends — which is what guarantees identical
 //! `CommStats`/`FaultStats` on shmem and mesh for the same workload.
 //!
-//! Counters are sharded per locale and padded to avoid the instrumentation
-//! itself becoming a contended cache line.
+//! Counts live in the layer's tally (`crate::tally`): single-writer rows,
+//! one per thread, so charging takes no lock-prefixed instruction and
+//! never shares a cache line with another thread's charges.
 
-use crate::fault::{CommError, FaultPlan, OpKind};
+use crate::fault::{CommError, FaultPlan};
 use crate::locale::LocaleId;
+use crate::tally::{Cells, Tally};
 use crate::transport::{
-    CommMessage, LinkMatrix, MeshConfig, MeshTransport, ShmemTransport, Transport, TransportKind,
+    CommMessage, MeshConfig, MeshTransport, ShmemTransport, Transport, TransportKind,
 };
-use rcuarray_obs::{Emit, Reading, Source, SourceHandle};
-use std::sync::atomic::{AtomicU64, Ordering};
+use rcuarray_obs::SourceHandle;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -92,45 +93,13 @@ pub fn spin_for(d: Duration) {
     }
 }
 
-const CACHE_LINE: usize = 64;
-
-/// One locale's communication counters, padded to a cache line multiple.
-#[repr(align(64))]
-#[derive(Debug, Default)]
-struct LocaleCounters {
-    gets: AtomicU64,
-    puts: AtomicU64,
-    remote_executes: AtomicU64,
-    local_accesses: AtomicU64,
-    bytes_moved: AtomicU64,
-}
-
-// Make sure padding actually happened; counters being false-shared would
-// poison every measurement in the workspace.
-const _: () = assert!(std::mem::align_of::<LocaleCounters>() >= CACHE_LINE);
-
-/// One locale's fault-path counters (attempt/failure/retry bookkeeping),
-/// padded like [`LocaleCounters`]. Kept separate so the healthy fast path
-/// touches one cache line, not two.
-#[repr(align(64))]
-#[derive(Debug, Default)]
-struct FaultCounters {
-    gets_attempted: AtomicU64,
-    puts_attempted: AtomicU64,
-    ons_attempted: AtomicU64,
-    gets_failed: AtomicU64,
-    puts_failed: AtomicU64,
-    ons_failed: AtomicU64,
-    retries: AtomicU64,
-}
-
-const _: () = assert!(std::mem::align_of::<FaultCounters>() >= CACHE_LINE);
-
 /// Snapshot of one locale's (or the whole cluster's) fault accounting.
 ///
-/// `attempted = completed + failed` per kind, where the completed counts
-/// are the corresponding [`CommStats`] fields — the split tests use to
-/// assert that faults and retries are charged to the *initiating* locale.
+/// With a fault plan installed, `attempted = completed + failed` per
+/// kind, where the completed counts are the corresponding [`CommStats`]
+/// fields — the split tests use to assert that faults and retries are
+/// charged to the *initiating* locale. Without one, only failures (a
+/// transport refusing a message) count as attempts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// GETs attempted (completed + failed).
@@ -223,101 +192,6 @@ impl std::ops::Add for CommStats {
     }
 }
 
-/// Sum `read` over every locale's cells.
-fn fold_locales(cells: &[LocaleCounters], read: impl Fn(&AtomicU64) -> u64) -> CommStats {
-    cells
-        .iter()
-        .map(|c| CommStats {
-            gets: read(&c.gets),
-            puts: read(&c.puts),
-            remote_executes: read(&c.remote_executes),
-            local_accesses: read(&c.local_accesses),
-            bytes_moved: read(&c.bytes_moved),
-        })
-        .fold(CommStats::default(), |a, b| a + b)
-}
-
-/// A layer's counter blocks: the per-locale comm and fault lines and
-/// the link matrix. On the registry's source list, they are what the
-/// `rcuarray_comm_*` and `rcuarray_transport_{messages,bytes}_total`
-/// totals read at snapshot time (DESIGN.md §7).
-#[derive(Debug)]
-struct CommCells {
-    per_locale: Arc<[LocaleCounters]>,
-    faults: Box<[FaultCounters]>,
-    links: Arc<LinkMatrix>,
-}
-
-impl CommCells {
-    /// Emit every total, reading each cell with `read` (a load for a
-    /// snapshot, a swap to zero for a reset).
-    fn emit(&self, read: impl Fn(&AtomicU64) -> u64, emit: Emit<'_>) {
-        let comm = fold_locales(&self.per_locale, &read);
-        let (mut retries, mut failed) = (0, 0);
-        for f in self.faults.iter() {
-            retries += read(&f.retries);
-            failed += read(&f.gets_failed) + read(&f.puts_failed) + read(&f.ons_failed);
-        }
-        let links = self.links.fold(&read);
-        let totals = [
-            (
-                "rcuarray_comm_gets_total",
-                "remote GET operations",
-                comm.gets,
-            ),
-            (
-                "rcuarray_comm_puts_total",
-                "remote PUT operations",
-                comm.puts,
-            ),
-            (
-                "rcuarray_comm_remote_execs_total",
-                "remote on-block executions",
-                comm.remote_executes,
-            ),
-            (
-                "rcuarray_comm_local_ops_total",
-                "accesses that stayed on their home locale",
-                comm.local_accesses,
-            ),
-            (
-                "rcuarray_comm_bytes_total",
-                "bytes moved by remote GET/PUT operations",
-                comm.bytes_moved,
-            ),
-            (
-                "rcuarray_comm_retries_total",
-                "retry attempts charged by the retry policy",
-                retries,
-            ),
-            (
-                "rcuarray_comm_faults_injected_total",
-                "remote operations charged as failed (fault plan or transport refusal)",
-                failed,
-            ),
-            (
-                "rcuarray_transport_messages_total",
-                "messages transmitted across locale links",
-                links.messages,
-            ),
-            (
-                "rcuarray_transport_bytes_total",
-                "payload bytes transmitted across locale links",
-                links.bytes,
-            ),
-        ];
-        for (name, help, v) in totals {
-            emit(name, help, Reading::Counter(v));
-        }
-    }
-}
-
-impl Source for CommCells {
-    fn report(&self, emit: Emit<'_>) {
-        self.emit(|a| a.load(Ordering::Relaxed), emit);
-    }
-}
-
 /// The cluster's communication fabric: fault plan + accounting + latency
 /// in front of a pluggable [`Transport`] backend.
 ///
@@ -327,12 +201,23 @@ impl Source for CommCells {
 /// keeps its counts in them.
 #[derive(Debug)]
 pub struct CommLayer {
-    /// The hot per-locale lines, also held by `cells`.
-    per_locale: Arc<[LocaleCounters]>,
-    cells: SourceHandle<CommCells>,
+    /// Every count this layer and its transport charge, on the registry's
+    /// source list.
+    tally: SourceHandle<Tally>,
     latency: LatencyModel,
     fault: FaultPlan,
-    transport: Box<dyn Transport>,
+    backend: Backend,
+    /// No fault plan and no latency: a message that reaches the shmem
+    /// backend is only metered.
+    unhindered: bool,
+}
+
+/// The transport, dispatched by match so the shmem path inlines into
+/// [`CommLayer::send`].
+#[derive(Debug)]
+enum Backend {
+    Shmem(ShmemTransport),
+    Mesh(MeshTransport),
 }
 
 impl CommLayer {
@@ -355,31 +240,24 @@ impl CommLayer {
         kind: TransportKind,
         mesh: MeshConfig,
     ) -> Self {
-        let links = Arc::new(LinkMatrix::new(num_locales));
-        let transport: Box<dyn Transport> = match kind {
-            TransportKind::Shmem => Box::new(ShmemTransport::with_links(Arc::clone(&links))),
+        let tally = SourceHandle::new(Arc::new(Tally::new(num_locales)));
+        let shared = Arc::clone(tally.block());
+        let backend = match kind {
+            TransportKind::Shmem => Backend::Shmem(ShmemTransport::with_tally(shared)),
             // The mesh learns which links reorder at construction: the
             // rules shape dispatcher behaviour, not per-send checks.
-            TransportKind::Mesh => Box::new(MeshTransport::with_links(
-                Arc::clone(&links),
+            TransportKind::Mesh => Backend::Mesh(MeshTransport::with_tally(
+                shared,
                 mesh,
                 &fault.reorder_links(),
             )),
         };
-        let per_locale: Arc<[LocaleCounters]> = (0..num_locales)
-            .map(|_| LocaleCounters::default())
-            .collect();
-        let cells = SourceHandle::new(Arc::new(CommCells {
-            per_locale: Arc::clone(&per_locale),
-            faults: (0..num_locales).map(|_| FaultCounters::default()).collect(),
-            links,
-        }));
         CommLayer {
-            per_locale,
-            cells,
+            tally,
+            unhindered: !fault.is_enabled() && latency == LatencyModel::None,
             latency,
             fault,
-            transport,
+            backend,
         }
     }
 
@@ -399,7 +277,10 @@ impl CommLayer {
     /// The transport backend carrying this cluster's cross-locale bytes.
     #[inline]
     pub fn transport(&self) -> &dyn Transport {
-        &*self.transport
+        match &self.backend {
+            Backend::Shmem(t) => t,
+            Backend::Mesh(t) => t,
+        }
     }
 
     /// Send one typed message from `from` to `to`: the single front door
@@ -411,78 +292,92 @@ impl CommLayer {
     /// but a message with any failed operation is **not** transmitted —
     /// `attempted = completed + failed` conservation holds per kind, and
     /// partial delivery never happens. On success the transport moves the
-    /// message, the completed counters and bytes are charged, and latency
-    /// is applied per wire operation.
+    /// message and charges it, wire operations included, to the shared
+    /// tally, and latency is applied per wire operation.
+    #[inline]
     pub fn send(&self, from: LocaleId, to: LocaleId, msg: CommMessage) -> Result<(), CommError> {
         debug_assert_ne!(from, to, "local accesses use record_local");
-        let ops = msg.wire_ops();
-        let mut first_err = None;
-        for &(op, _) in ops.as_slice() {
-            if let Err(e) = self.fault.check(from, to, op) {
-                self.charge_failed(from, op);
-                if first_err.is_none() {
-                    first_err = Some(e);
-                }
-            }
+        if self.fault.is_enabled() {
+            self.check_faults(from, to, &msg)?;
         }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        if let Err(e) = self.transport.transmit(from, to, &msg) {
+        let sent = match &self.backend {
+            Backend::Shmem(t) => t.transmit(from, to, &msg),
+            Backend::Mesh(t) => t.transmit(from, to, &msg),
+        };
+        if let Err(e) = sent {
             // The backend refused (e.g. a mesh link stayed full past its
             // deadline): the whole message failed, charge every wire op.
-            for &(op, _) in ops.as_slice() {
-                self.charge_failed(from, op);
-            }
+            self.charge_failed(from, &msg);
             return Err(e);
         }
-        for &(op, bytes) in ops.as_slice() {
-            self.charge_completed(from, op, bytes);
+        if self.latency != LatencyModel::None {
+            self.apply_latency(&msg);
         }
         Ok(())
     }
 
-    /// The per-locale fault cells for one operation kind:
-    /// `(attempted, failed)`.
-    #[inline]
-    fn fault_cells(&self, from: LocaleId, op: OpKind) -> (&AtomicU64, &AtomicU64) {
-        let fc = &self.cells.faults[from.index()];
-        match op {
-            OpKind::Get => (&fc.gets_attempted, &fc.gets_failed),
-            OpKind::Put => (&fc.puts_attempted, &fc.puts_failed),
-            OpKind::RemoteExec => (&fc.ons_attempted, &fc.ons_failed),
+    /// Spend the latency of every wire operation of `msg`. An active
+    /// message (bytes = 0) still costs roughly one small transfer each
+    /// way: apply(0) charges the base latency.
+    fn apply_latency(&self, msg: &CommMessage) {
+        for &(_, bytes) in msg.wire_ops().as_slice() {
+            self.latency.apply(bytes);
         }
+    }
+
+    /// Run every wire operation of `msg` past the fault plan, charging
+    /// each failure; the first failure is the message's.
+    #[cold]
+    fn check_faults(
+        &self,
+        from: LocaleId,
+        to: LocaleId,
+        msg: &CommMessage,
+    ) -> Result<(), CommError> {
+        let mut first_err = None;
+        for &(op, _) in msg.wire_ops().as_slice() {
+            if let Err(e) = self.fault.check(from, to, op) {
+                self.tally.failed(from, op);
+                first_err = first_err.or(Some(e));
+            }
+        }
+        first_err.map_or(Ok(()), Err)
     }
 
     #[cold]
-    fn charge_failed(&self, from: LocaleId, op: OpKind) {
-        let (attempted, failed) = self.fault_cells(from, op);
-        attempted.fetch_add(1, Ordering::Relaxed);
-        failed.fetch_add(1, Ordering::Relaxed);
+    fn charge_failed(&self, from: LocaleId, msg: &CommMessage) {
+        for &(op, _) in msg.wire_ops().as_slice() {
+            self.tally.failed(from, op);
+        }
     }
 
-    #[inline]
-    fn charge_completed(&self, from: LocaleId, op: OpKind, bytes: usize) {
-        if self.fault.is_enabled() {
-            self.fault_cells(from, op).0.fetch_add(1, Ordering::Relaxed);
+    /// Charge a GET or PUT `msg` that `from` makes against memory on
+    /// `owner`, which may be `from` itself.
+    ///
+    /// When transmitting would only meter the message (shmem, no fault
+    /// plan, no latency, delivery log off), the access is charged straight
+    /// into the tally with no branch on locality: an array read's owner
+    /// is close to random, and a mispredicted branch costs more than the
+    /// charge (EXPERIMENTS.md). Otherwise a local access is
+    /// [recorded](Self::record_local) and a remote one [sent](Self::send).
+    #[inline(always)]
+    pub(crate) fn access(
+        &self,
+        from: LocaleId,
+        owner: LocaleId,
+        msg: CommMessage,
+    ) -> Result<(), CommError> {
+        match &self.backend {
+            Backend::Shmem(t) if self.unhindered && !t.logs_delivery() => {
+                self.tally.charge(from, owner, &msg);
+                Ok(())
+            }
+            _ if from == owner => {
+                self.record_local(from);
+                Ok(())
+            }
+            _ => self.send(from, owner, msg),
         }
-        let c = &self.per_locale[from.index()];
-        match op {
-            OpKind::Get => {
-                c.gets.fetch_add(1, Ordering::Relaxed);
-                c.bytes_moved.fetch_add(bytes as u64, Ordering::Relaxed);
-            }
-            OpKind::Put => {
-                c.puts.fetch_add(1, Ordering::Relaxed);
-                c.bytes_moved.fetch_add(bytes as u64, Ordering::Relaxed);
-            }
-            OpKind::RemoteExec => {
-                c.remote_executes.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        // An active message (bytes = 0) still costs roughly one small
-        // transfer each way: apply(0) charges the base latency.
-        self.latency.apply(bytes);
     }
 
     /// Record a GET of `bytes` bytes initiated by `from` against memory on
@@ -517,65 +412,50 @@ impl CommLayer {
     /// [`RetryPolicy::run`](crate::fault::RetryPolicy::run)).
     #[inline]
     pub fn record_retry(&self, locale: LocaleId) {
-        self.cells.faults[locale.index()]
-            .retries
-            .fetch_add(1, Ordering::Relaxed);
+        self.tally.retry(locale);
     }
 
     /// Record an access that stayed on `locale`.
     #[inline]
     pub fn record_local(&self, locale: LocaleId) {
-        self.per_locale[locale.index()]
-            .local_accesses
-            .fetch_add(1, Ordering::Relaxed);
+        self.tally.local(locale);
     }
 
     /// Snapshot of one locale's counters.
     pub fn stats_for(&self, locale: LocaleId) -> CommStats {
-        let i = locale.index();
-        fold_locales(&self.per_locale[i..=i], |a| a.load(Ordering::Relaxed))
+        self.tally
+            .since_reset(Cells::From(locale))
+            .comm(locale.index())
     }
 
     /// Snapshot summed over all locales.
     pub fn total(&self) -> CommStats {
-        fold_locales(&self.per_locale, |a| a.load(Ordering::Relaxed))
+        let s = self.tally.since_reset(Cells::All);
+        (0..self.tally.locales())
+            .map(|l| s.comm(l))
+            .fold(CommStats::default(), |a, b| a + b)
     }
 
     /// Snapshot of one locale's fault accounting.
     pub fn fault_stats_for(&self, locale: LocaleId) -> FaultStats {
-        let c = &self.cells.faults[locale.index()];
-        FaultStats {
-            gets_attempted: c.gets_attempted.load(Ordering::Relaxed),
-            puts_attempted: c.puts_attempted.load(Ordering::Relaxed),
-            ons_attempted: c.ons_attempted.load(Ordering::Relaxed),
-            gets_failed: c.gets_failed.load(Ordering::Relaxed),
-            puts_failed: c.puts_failed.load(Ordering::Relaxed),
-            ons_failed: c.ons_failed.load(Ordering::Relaxed),
-            retries: c.retries.load(Ordering::Relaxed),
-        }
+        self.tally
+            .since_reset(Cells::From(locale))
+            .faults(locale.index(), self.fault.is_enabled())
     }
 
     /// Fault accounting summed over all locales.
     pub fn fault_totals(&self) -> FaultStats {
-        (0..self.cells.faults.len())
-            .map(|i| self.fault_stats_for(LocaleId::new(i as u32)))
+        let s = self.tally.since_reset(Cells::All);
+        (0..self.tally.locales())
+            .map(|l| s.faults(l, self.fault.is_enabled()))
             .fold(FaultStats::default(), |a, b| a + b)
     }
 
-    /// Reset every counter to zero (between benchmark phases): the
-    /// per-locale comm and fault counters and the transport's per-link
+    /// Reset every per-cluster read to zero (between benchmark phases):
+    /// the per-locale comm and fault counts and the transport's per-link
     /// totals. The process-wide totals keep what was reset.
     pub fn reset(&self) {
-        // Each reported cell is swapped to zero under the source list's
-        // lock: a count lands in the retired totals or stays live, never
-        // in both or neither.
-        self.cells
-            .fold_and_zero(|cells, emit| cells.emit(|a| a.swap(0, Ordering::Relaxed), emit));
-        for c in self.cells.faults.iter() {
-            c.gets_attempted.store(0, Ordering::Relaxed);
-            c.puts_attempted.store(0, Ordering::Relaxed);
-            c.ons_attempted.store(0, Ordering::Relaxed);
-        }
+        self.tally.reset();
     }
 }
 
@@ -661,6 +541,37 @@ mod tests {
                 "{kind}"
             );
         }
+    }
+
+    #[test]
+    fn direct_accesses_charge_what_the_transport_would() {
+        let c = layer(2);
+        let (a, b) = (LocaleId::new(0), LocaleId::new(1));
+        let drive = || {
+            c.access(a, b, CommMessage::Get { bytes: 8 }).unwrap();
+            c.access(a, b, CommMessage::Put { bytes: 16 }).unwrap();
+            c.access(a, a, CommMessage::Get { bytes: 8 }).unwrap();
+        };
+        drive();
+        let direct = (c.stats_for(a), c.transport().link_stats(a, b));
+        c.reset();
+        // With delivery logged, accesses take the transport.
+        c.transport().enable_delivery_log();
+        drive();
+        assert_eq!(c.transport().delivery_log(a, b), vec![0, 1]);
+        let sent = (c.stats_for(a), c.transport().link_stats(a, b));
+        assert_eq!(direct, sent);
+        assert_eq!(
+            direct.0,
+            CommStats {
+                gets: 1,
+                puts: 1,
+                remote_executes: 0,
+                local_accesses: 1,
+                bytes_moved: 24,
+            }
+        );
+        assert_eq!(direct.1.messages, 2);
     }
 
     #[test]

@@ -51,6 +51,7 @@ pub mod locale;
 pub mod membership;
 pub mod privatization;
 pub mod sync_var;
+mod tally;
 pub mod task;
 pub mod topology;
 pub mod transport;
@@ -403,26 +404,16 @@ impl Cluster {
     /// drops the GET. Local accesses never fail.
     #[inline]
     pub fn try_get_from(&self, owner: LocaleId, bytes: usize) -> Result<(), CommError> {
-        let from = task::current_locale();
-        if from != owner {
-            self.comm.record_get(from, owner, bytes)
-        } else {
-            self.comm.record_local(from);
-            Ok(())
-        }
+        self.comm
+            .access(task::current_locale(), owner, CommMessage::Get { bytes })
     }
 
     /// Fallible [`put_to`](Self::put_to): fails when the fault plan drops
     /// the PUT. Local accesses never fail.
     #[inline]
     pub fn try_put_to(&self, owner: LocaleId, bytes: usize) -> Result<(), CommError> {
-        let from = task::current_locale();
-        if from != owner {
-            self.comm.record_put(from, owner, bytes)
-        } else {
-            self.comm.record_local(from);
-            Ok(())
-        }
+        self.comm
+            .access(task::current_locale(), owner, CommMessage::Put { bytes })
     }
 
     /// Aggregate communication statistics across all locales.

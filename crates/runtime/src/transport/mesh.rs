@@ -27,11 +27,11 @@
 //! conformance suite needs.
 
 use super::{
-    decode_frame, encode_frame, CommMessage, DeliveryLog, LinkMatrix, LinkStats, Transport,
-    TransportKind,
+    decode_frame, encode_frame, CommMessage, DeliveryLog, LinkStats, Transport, TransportKind,
 };
 use crate::fault::CommError;
 use crate::locale::LocaleId;
+use crate::tally::Tally;
 use parking_lot::{Condvar, Mutex};
 use rcuarray_obs::{Emit, Reading, Source, SourceHandle};
 use std::collections::VecDeque;
@@ -131,7 +131,7 @@ struct InboxState {
 struct Shared {
     n: usize,
     inboxes: Box<[Inbox]>,
-    links: Arc<LinkMatrix>,
+    tally: Arc<Tally>,
     log: DeliveryLog,
     /// Directed links whose observed delivery order is perturbed
     /// (adjacent pairs swap), from the fault plan's `reorder_link`
@@ -178,16 +178,16 @@ impl MeshTransport {
     /// directed links whose delivery order should be perturbed
     /// (normally collected from the fault plan's `reorder_link` rules).
     pub fn new(n: usize, cfg: MeshConfig, reorder_links: &[(LocaleId, LocaleId)]) -> Self {
-        Self::with_links(Arc::new(LinkMatrix::new(n)), cfg, reorder_links)
+        Self::with_tally(Arc::new(Tally::new(n)), cfg, reorder_links)
     }
 
-    /// A mesh metering into `links` (which fixes the locale count).
-    pub(crate) fn with_links(
-        links: Arc<LinkMatrix>,
+    /// A mesh metering into `tally` (which fixes the locale count).
+    pub(crate) fn with_tally(
+        tally: Arc<Tally>,
         cfg: MeshConfig,
         reorder_links: &[(LocaleId, LocaleId)],
     ) -> Self {
-        let n = links.locales();
+        let n = tally.locales();
         assert!(
             cfg.queue_capacity >= 1,
             "a link needs capacity for one frame"
@@ -211,7 +211,7 @@ impl MeshTransport {
         let shared = SourceHandle::new(Arc::new(Shared {
             n,
             inboxes,
-            links,
+            tally,
             log: DeliveryLog::new(n),
             reorder,
         }));
@@ -350,12 +350,12 @@ impl Transport for MeshTransport {
                 })
             }
         }
-        self.shared.links.record(from, to, msg.payload_bytes());
+        self.shared.tally.charge(from, to, msg);
         Ok(())
     }
 
     fn link_stats(&self, from: LocaleId, to: LocaleId) -> LinkStats {
-        self.shared.links.stats(from, to)
+        self.shared.tally.link_stats(from, to)
     }
 
     fn enable_delivery_log(&self) {

@@ -28,10 +28,12 @@
 //!   first-class [`FaultPlan`](crate::fault::FaultPlan) actions).
 //!
 //! The split of responsibilities with [`CommLayer`](crate::comm::CommLayer)
-//! is deliberate: the comm facade owns fault checks, per-locale
-//! counters and latency injection (guaranteeing *identical*
-//! `CommStats`/`FaultStats` on every backend for the same workload);
-//! transports own only movement, per-link metrics and delivery order.
+//! is deliberate: the comm facade owns fault checks, failure accounting
+//! and latency injection; transports own movement, delivery order and
+//! metering. A backend meters a delivered message, wire operations
+//! included, with one call into the tally its layer lends it — the same
+//! call on every backend, which keeps `CommStats`/`FaultStats`
+//! *identical* across backends for the same workload.
 
 pub mod mesh;
 pub mod shmem;
@@ -42,7 +44,7 @@ pub use shmem::ShmemTransport;
 use crate::fault::OpKind;
 use crate::locale::LocaleId;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// The size on the wire of one lock word (the paper's `WriteLock` state).
 pub const LOCK_WORD_BYTES: usize = 8;
@@ -115,6 +117,7 @@ impl CommMessage {
     /// The wire operations this message lowers to, in transmission
     /// order. This is what the fault plan checks and the per-locale
     /// counters charge — one entry per `(OpKind, bytes)`.
+    #[inline]
     pub fn wire_ops(&self) -> WireOps {
         match *self {
             CommMessage::Get { bytes } => WireOps::one(OpKind::Get, bytes),
@@ -135,6 +138,7 @@ impl CommMessage {
     }
 
     /// Total payload bytes across all wire operations.
+    #[inline]
     pub fn payload_bytes(&self) -> usize {
         self.wire_ops().as_slice().iter().map(|&(_, b)| b).sum()
     }
@@ -155,6 +159,7 @@ pub struct WireOps {
 }
 
 impl WireOps {
+    #[inline]
     fn one(op: OpKind, bytes: usize) -> Self {
         WireOps {
             ops: [(op, bytes), (op, bytes)],
@@ -162,6 +167,7 @@ impl WireOps {
         }
     }
 
+    #[inline]
     fn two(a: (OpKind, usize), b: (OpKind, usize)) -> Self {
         WireOps {
             ops: [a, b],
@@ -170,6 +176,7 @@ impl WireOps {
     }
 
     /// The wire operations, in transmission order.
+    #[inline]
     pub fn as_slice(&self) -> &[(OpKind, usize)] {
         &self.ops[..self.len]
     }
@@ -251,11 +258,12 @@ impl std::ops::Add for LinkStats {
 /// One cross-locale conduit: moves typed messages over directed
 /// `(from, to)` links.
 ///
-/// Implementations only move and meter — fault injection, per-locale
-/// accounting and latency stay in the [`CommLayer`](crate::comm::CommLayer)
-/// facade so every backend observes identical stats for the same
-/// workload. `transmit` is called only for `from != to` pairs that
-/// already passed the fault plan.
+/// Implementations only move and meter — fault injection, failure
+/// accounting and latency stay in the
+/// [`CommLayer`](crate::comm::CommLayer) facade, and every backend meters
+/// a delivered message through the same tally call, so every backend
+/// observes identical stats for the same workload. `transmit` is called
+/// only for `from != to` pairs that already passed the fault plan.
 pub trait Transport: Send + Sync + std::fmt::Debug {
     /// Which backend this is.
     fn kind(&self) -> TransportKind;
@@ -283,73 +291,6 @@ pub trait Transport: Send + Sync + std::fmt::Debug {
     /// increasing per link; a mesh link under a reorder fault rule is
     /// exactly where it is not.
     fn delivery_log(&self, from: LocaleId, to: LocaleId) -> Vec<u64>;
-}
-
-/// Per-directed-link message/byte counters, cache-line padded like the
-/// per-locale comm counters (the instrumentation must not become the
-/// contended line). Shared by both backends; a cluster's
-/// [`CommLayer`](crate::comm::CommLayer) lends its matrix to the
-/// transport so it can reset it and report its totals.
-#[derive(Debug)]
-pub(crate) struct LinkMatrix {
-    n: usize,
-    cells: Box<[LinkCell]>,
-}
-
-#[repr(align(64))]
-#[derive(Debug, Default)]
-struct LinkCell {
-    messages: AtomicU64,
-    bytes: AtomicU64,
-}
-
-impl LinkMatrix {
-    pub(crate) fn new(n: usize) -> Self {
-        LinkMatrix {
-            n,
-            cells: (0..n * n).map(|_| LinkCell::default()).collect(),
-        }
-    }
-
-    /// The number of locales the matrix spans.
-    pub(crate) fn locales(&self) -> usize {
-        self.n
-    }
-
-    #[inline]
-    fn cell(&self, from: LocaleId, to: LocaleId) -> &LinkCell {
-        &self.cells[from.index() * self.n + to.index()]
-    }
-
-    /// Charge one message of `bytes` payload to the `from → to` link.
-    #[inline]
-    pub(crate) fn record(&self, from: LocaleId, to: LocaleId, bytes: usize) {
-        let c = self.cell(from, to);
-        c.messages.fetch_add(1, Ordering::Relaxed);
-        c.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-    }
-
-    pub(crate) fn stats(&self, from: LocaleId, to: LocaleId) -> LinkStats {
-        let c = self.cell(from, to);
-        LinkStats {
-            messages: c.messages.load(Ordering::Relaxed),
-            bytes: c.bytes.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Totals over every link, reading each cell with `read`: a load, or
-    /// a swap to zero to drain the matrix (a concurrent `record` then
-    /// lands either in the result or in the cleared cell, never in
-    /// neither).
-    pub(crate) fn fold(&self, read: impl Fn(&AtomicU64) -> u64) -> LinkStats {
-        self.cells
-            .iter()
-            .map(|c| LinkStats {
-                messages: read(&c.messages),
-                bytes: read(&c.bytes),
-            })
-            .fold(LinkStats::default(), |a, b| a + b)
-    }
 }
 
 /// Per-link delivery-order log (send sequence numbers in delivery
@@ -394,9 +335,13 @@ impl DeliveryLog {
     /// immediately (the shmem path, where send *is* delivery).
     #[inline]
     pub(crate) fn record_in_order(&self, from: LocaleId, to: LocaleId) {
-        if !self.is_enabled() {
-            return;
+        if self.is_enabled() {
+            self.log_in_order(from, to);
         }
+    }
+
+    #[cold]
+    fn log_in_order(&self, from: LocaleId, to: LocaleId) {
         let mut l = self.link(from, to).lock();
         let seq = l.0;
         l.0 += 1;
@@ -569,31 +514,6 @@ mod tests {
         assert!("tcp".parse::<TransportKind>().is_err());
         assert_eq!(TransportKind::Mesh.to_string(), "mesh");
         assert_eq!(TransportKind::default(), TransportKind::Shmem);
-    }
-
-    #[test]
-    fn link_matrix_is_directed() {
-        let m = LinkMatrix::new(3);
-        m.record(LocaleId::new(0), LocaleId::new(1), 100);
-        m.record(LocaleId::new(0), LocaleId::new(1), 28);
-        let fwd = m.stats(LocaleId::new(0), LocaleId::new(1));
-        assert_eq!(fwd.messages, 2);
-        assert_eq!(fwd.bytes, 128);
-        let rev = m.stats(LocaleId::new(1), LocaleId::new(0));
-        assert_eq!(rev, LinkStats::default(), "links are directed");
-        m.record(LocaleId::new(2), LocaleId::new(0), 4);
-        let all = LinkStats {
-            messages: 3,
-            bytes: 132,
-        };
-        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        assert_eq!(m.fold(load), all);
-        assert_eq!(m.fold(|a| a.swap(0, Ordering::Relaxed)), all);
-        assert_eq!(
-            m.fold(load),
-            LinkStats::default(),
-            "drain zeroes every link"
-        );
     }
 
     #[test]

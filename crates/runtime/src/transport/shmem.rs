@@ -9,29 +9,37 @@
 //! tests assert, while still exercising the same [`Transport`] seam the
 //! mesh backend does.
 
-use super::{CommMessage, DeliveryLog, LinkMatrix, LinkStats, Transport, TransportKind};
+use super::{CommMessage, DeliveryLog, LinkStats, Transport, TransportKind};
 use crate::fault::CommError;
 use crate::locale::LocaleId;
+use crate::tally::Tally;
 use std::sync::Arc;
 
 /// Direct shared-memory transport: metering only, delivery is implicit.
 #[derive(Debug)]
 pub struct ShmemTransport {
-    links: Arc<LinkMatrix>,
+    tally: Arc<Tally>,
     log: DeliveryLog,
 }
 
 impl ShmemTransport {
     /// A shmem transport for an `n`-locale cluster.
     pub fn new(n: usize) -> Self {
-        Self::with_links(Arc::new(LinkMatrix::new(n)))
+        Self::with_tally(Arc::new(Tally::new(n)))
     }
 
-    /// A shmem transport metering into `links`.
-    pub(crate) fn with_links(links: Arc<LinkMatrix>) -> Self {
+    /// Whether delivery order is being logged; until it is, a
+    /// transmission only meters.
+    #[inline]
+    pub(crate) fn logs_delivery(&self) -> bool {
+        self.log.is_enabled()
+    }
+
+    /// A shmem transport metering into `tally`.
+    pub(crate) fn with_tally(tally: Arc<Tally>) -> Self {
         ShmemTransport {
-            log: DeliveryLog::new(links.locales()),
-            links,
+            log: DeliveryLog::new(tally.locales()),
+            tally,
         }
     }
 }
@@ -44,7 +52,7 @@ impl Transport for ShmemTransport {
     #[inline]
     fn transmit(&self, from: LocaleId, to: LocaleId, msg: &CommMessage) -> Result<(), CommError> {
         debug_assert_ne!(from, to, "local accesses never reach the transport");
-        self.links.record(from, to, msg.payload_bytes());
+        self.tally.charge(from, to, msg);
         // Send *is* delivery on shared memory: the log stays strictly
         // in send order per link.
         self.log.record_in_order(from, to);
@@ -52,7 +60,7 @@ impl Transport for ShmemTransport {
     }
 
     fn link_stats(&self, from: LocaleId, to: LocaleId) -> LinkStats {
-        self.links.stats(from, to)
+        self.tally.link_stats(from, to)
     }
 
     fn enable_delivery_log(&self) {
